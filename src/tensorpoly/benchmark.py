@@ -188,6 +188,11 @@ def run_benchmark(cfg):
     variable = sweep["variable"]
     if variable not in SWEEP_VARIABLES and variable != "sample_size":
         raise ValueError(f"sweep variable must be one of {SWEEP_VARIABLES}")
+    if not isinstance(cfg.get("base"), dict):
+        raise ValueError("benchmark config needs a base section")
+    missing = {"n", "degree", "rank", "m"} - set(_point_params(cfg["base"], variable, None))
+    if missing:
+        raise ValueError(f"benchmark base section is missing {sorted(missing)}")
     values = list(sweep["values"])
     workers = max(1, int(os.environ.get(THREADS_ENV, "1")))
     if workers > 1:

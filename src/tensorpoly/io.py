@@ -12,7 +12,9 @@ import csv
 import json
 import math
 import os
+import re
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -37,14 +39,9 @@ def _atomic_write(path, text):
 
 
 def _rows_to_csv(header, rows):
-    import io as _io
-
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(float(v)) for v in row])
-    return buf.getvalue()
+    # one bulk %-format call; "%r" of a Python float is its shortest round-trip repr
+    line = ",".join(["%r"] * rows.shape[1]) + "\n"
+    return ",".join(header) + "\n" + (line * rows.shape[0]) % tuple(rows.ravel().tolist())
 
 
 def _y_names(n_y):
@@ -59,8 +56,7 @@ def write_dataset_csv(path, X, Y=None):
         rows = X
     else:
         Y = np.asarray(Y, dtype=float)
-        if Y.ndim == 1:
-            Y = Y.reshape(-1, 1)
+        Y = Y.reshape(-1, 1) if Y.ndim == 1 else Y
         header += _y_names(Y.shape[1])
         rows = np.hstack([X, Y])
     _atomic_write(path, _rows_to_csv(header, rows))
@@ -68,27 +64,28 @@ def write_dataset_csv(path, X, Y=None):
 
 def write_predictions_csv(path, Y):
     Y = np.asarray(Y, dtype=float)
-    if Y.ndim == 1:
-        Y = Y.reshape(-1, 1)
+    Y = Y.reshape(-1, 1) if Y.ndim == 1 else Y
     _atomic_write(path, _rows_to_csv(_y_names(Y.shape[1]), Y))
 
 
 def read_dataset_csv(path):
     """Read a CSV with x*/y* header into (X, Y); Y is None without y columns."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path) as fh:
+        header = next(csv.reader([fh.readline()]), [])
+        x_idx = [i for i, name in enumerate(header) if name.strip().startswith("x")]
+        y_idx = [i for i, name in enumerate(header) if name.strip().startswith("y")]
+        if not x_idx and not y_idx:
+            raise ValueError(f"{path}: header has no x*/y* columns")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: missing header row") from None
-        rows = [row for row in reader if row]
-    x_idx = [i for i, name in enumerate(header) if name.strip().startswith("x")]
-    y_idx = [i for i, name in enumerate(header) if name.strip().startswith("y")]
-    if not x_idx and not y_idx:
-        raise ValueError(f"{path}: header has no x*/y* columns")
-    data = np.array([[float(v) for v in row] for row in rows], dtype=float)
-    if data.size == 0:
-        data = data.reshape(0, len(header))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, quotechar='"')
+        except ValueError as exc:  # drop loadtxt's data-row index (not a file line) and advice
+            msg = re.sub(r" at row [0-9]+|; use `usecols`.*", "", str(exc))
+            raise ValueError(f"{path}: {msg}") from None
+    if data.size and data.shape[1] != len(header):
+        raise ValueError(f"{path}: rows have {data.shape[1]} columns, header has {len(header)}")
+    data = data.reshape(-1, len(header))
     X = data[:, x_idx] if x_idx else None
     Y = data[:, y_idx] if y_idx else None
     return X, Y
@@ -114,6 +111,9 @@ def model_to_dict(model):
 def model_from_dict(d):
     if d.get("schema_version") != MODEL_SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema version {d.get('schema_version')!r}")
+    for key in ("P", "Q", "lambda", "homogenized"):
+        if key not in d:
+            raise ValueError(f"model file is missing key {key!r}")
     return LtrModel(
         P=[np.asarray(Pd, dtype=float) for Pd in d["P"]],
         Q=np.asarray(d["Q"], dtype=float),

@@ -139,6 +139,9 @@ class Dataset:
                 raise ValueError(f"views[{i}] has {V.shape[0]} rows, expected {m}")
         if Y.shape[0] != m:
             raise ValueError(f"Y has {Y.shape[0]} rows, expected {m}")
+        for name, A in [*((f"views[{i}]", V) for i, V in enumerate(self.views)), ("Y", Y)]:
+            if not np.all(np.isfinite(A)):
+                raise ValueError(f"{name} contains non-finite values")
 
     @classmethod
     def from_arrays(cls, X, y):

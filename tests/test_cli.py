@@ -1,10 +1,13 @@
 import csv
+import io
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
 
-from tensorpoly import Dataset, TrainConfig, fit, predict
+from tensorpoly import Dataset, LtrModel, TrainConfig, fit, predict
 from tensorpoly.cli import main
 from tensorpoly.io import (
     load_model,
@@ -13,6 +16,7 @@ from tensorpoly.io import (
     read_dataset_csv,
     save_model,
     write_dataset_csv,
+    write_predictions_csv,
 )
 from tensorpoly.metrics import pearson, rmse
 
@@ -450,3 +454,121 @@ class TestModelSerialization:
         back = load_model(tmp_path / "m.json")
         assert back.lam[0] == value
         assert back.P[0][0, 0] == value
+
+
+def xy_model_json(drop=None):
+    """JSON text of the model x1 * x2, optionally without one key."""
+    d = model_to_dict(LtrModel(P=[np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])],
+                               Q=np.ones((1, 1)), lam=[1.0]))
+    d.pop(drop, None)
+    return json.dumps(d)
+
+
+TRAIN_ARGS = ["train", "--data", "{dir}/in.csv", "--epochs", "1", "--out", "{dir}/out"]
+PREDICT_ARGS = ["predict", "--model", "{dir}/model.json", "--input", "{dir}/in.csv",
+                "--out", "{dir}/out"]
+BENCH_ARGS = ["benchmark", "--config", "{dir}/cfg.json", "--out", "{dir}/out"]
+NO_BASE = json.dumps({"sweep": {"variable": "degree", "values": [1]}})
+
+# (id, files to write, argv, regex searched in the one stderr line after "error: ");
+# the CSV patterns name only the path and the offending field, not numpy's wording
+REJECTED = [
+    ("csv-short-rows", {"in.csv": "x1,x2,y\n1,2\n3,4\n"}, TRAIN_ARGS,
+     r"in\.csv: rows have 2 columns, header has 3"),
+    ("csv-one-long-row", {"in.csv": "x1,x2,y\n1,2,3\n1,2,3,4\n"}, TRAIN_ARGS,
+     r"in\.csv: .*columns"),
+    ("csv-empty-field", {"in.csv": "x1,x2,y\n1,,3\n"}, TRAIN_ARGS, r"in\.csv: .*''"),
+    ("csv-hash-line", {"in.csv": "x1,x2,y\n# note\n1,2,3\n"}, TRAIN_ARGS,
+     r"in\.csv: .*'# note'"),
+    ("csv-semicolons", {"in.csv": "x1;x2;y\n1;2;3\n"}, TRAIN_ARGS, r"in\.csv: .*'1;2;3'"),
+    ("csv-nan-in-y", {"in.csv": "x1,x2,y\n1,2,nan\n3,4,5\n"}, TRAIN_ARGS,
+     r"Y contains non-finite values"),
+    *[(f"model-without-{key}", {"model.json": xy_model_json(drop=key), "in.csv": "x1,x2\n1,2\n"},
+       PREDICT_ARGS, rf"model file is missing key '{key}'")
+      for key in ("P", "Q", "lambda", "homogenized")],
+    ("benchmark-without-base", {"cfg.json": NO_BASE}, BENCH_ARGS,
+     r"benchmark config needs a base section"),
+    ("benchmark-base-without-sizes", {"cfg.json": NO_BASE}, BENCH_ARGS + ["--seed", "3"],
+     r"benchmark base section is missing \['m', 'n', 'rank'\]"),
+]
+
+# (id, x1,x2 input CSV, expected x1 * x2 predictions)
+ACCEPTED = [
+    ("blank-lines", "x1,x2\n\n2,3\n\n1,1\n\n", [6.0, 1.0]),
+    ("crlf", "x1,x2\r\n2,3\r\n1,1\r\n", [6.0, 1.0]),
+    ("quoted-fields", '"x1","x2"\n"2.0","3"\n"1",1\n', [6.0, 1.0]),
+    ("header-only", "x1,x2\n", []),
+]
+
+
+def run_cli(tmp_path, files, argv):
+    for name, text in files.items():
+        (tmp_path / name).write_bytes(text.encode())
+    return main([a.format(dir=tmp_path) for a in argv])
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("files,argv,message",
+                             [case[1:] for case in REJECTED], ids=[case[0] for case in REJECTED])
+    def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, files, argv, message):
+        assert run_cli(tmp_path, files, argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert re.search(message, err)
+        assert " at row " not in err and "usecols" not in err  # loadtxt's data-row index, advice
+
+    @pytest.mark.parametrize("text,expected",
+                             [case[1:] for case in ACCEPTED], ids=[case[0] for case in ACCEPTED])
+    def test_accepted_csv_predicts(self, tmp_path, text, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt's empty-input warning must not leak
+            assert run_cli(tmp_path, {"model.json": xy_model_json(), "in.csv": text},
+                           PREDICT_ARGS) == 0
+        _, Y = read_dataset_csv(tmp_path / "out" / "predictions.csv")
+        assert Y.shape == (len(expected), 1)
+        assert Y[:, 0].tolist() == expected
+
+
+def csv_writer_reference(header, rows):
+    """The row-at-a-time formatter the bulk writer replaced; its bytes are the file format."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(float(v)) for v in row])
+    return buf.getvalue()
+
+
+EXTREMES = np.array([5e-324, 1.7976931348623157e308, -1.7976931348623157e308, -0.0,
+                     0.1, 1e16, 1 / 3, np.inf, np.nan])
+
+
+class TestDatasetCsv:
+    def test_extreme_values_round_trip(self, tmp_path):
+        X = np.column_stack([EXTREMES, EXTREMES[::-1]])
+        write_dataset_csv(tmp_path / "d.csv", X, EXTREMES)
+        X_back, Y_back = read_dataset_csv(tmp_path / "d.csv")
+        assert np.array_equal(X_back, X, equal_nan=True)
+        assert np.array_equal(Y_back[:, 0], EXTREMES, equal_nan=True)
+        assert np.array_equal(np.signbit(X_back), np.signbit(X))
+        assert np.signbit(Y_back[3, 0])
+
+    @pytest.mark.parametrize("n_y", [None, 1, 3])
+    def test_bytes_match_csv_writer_reference(self, tmp_path, n_y):
+        rng = np.random.default_rng(21)
+        X = np.vstack([rng.standard_normal((40, 4)) * 10.0 ** rng.integers(-20, 20, (40, 1)),
+                       EXTREMES[:8].reshape(2, 4)])
+        if n_y is None:
+            Y, header, rows = None, ["x1", "x2", "x3", "x4"], X
+        else:
+            Y = rng.standard_normal((X.shape[0], n_y))
+            names = ["y"] if n_y == 1 else [f"y{j + 1}" for j in range(n_y)]
+            header, rows = ["x1", "x2", "x3", "x4"] + names, np.hstack([X, Y])
+        write_dataset_csv(tmp_path / "d.csv", X, Y)
+        assert (tmp_path / "d.csv").read_bytes() == csv_writer_reference(header, rows).encode()
+
+    def test_prediction_bytes_match_csv_writer_reference(self, tmp_path):
+        Y = np.random.default_rng(22).standard_normal((30, 2))
+        write_predictions_csv(tmp_path / "p.csv", Y)
+        assert (tmp_path / "p.csv").read_bytes() == \
+            csv_writer_reference(["y1", "y2"], Y).encode()

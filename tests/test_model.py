@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -280,6 +282,15 @@ class TestValidation:
             Dataset(views=[np.zeros((3, 2)), np.zeros((4, 2))], Y=np.zeros(3))
         with pytest.raises(ValueError):
             Dataset(views=[np.zeros((3, 2))], Y=np.zeros(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["views[1]", "Y"])
+    def test_dataset_rejects_non_finite(self, bad, where):
+        views = [np.zeros((3, 2)), np.zeros((3, 2))]
+        Y = np.zeros(3)
+        (views[1] if where == "views[1]" else Y)[2, ...] = bad
+        with pytest.raises(ValueError, match=rf"^{re.escape(where)} contains non-finite"):
+            Dataset(views=views, Y=Y)
 
     def test_mixed_width_model_has_dims_but_no_n(self):
         model = LtrModel(P=[np.ones((1, 2)), np.ones((1, 3))],
