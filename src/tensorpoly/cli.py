@@ -31,15 +31,22 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_config(path):
+def _load_config(path, sections=()):
+    """The JSON object in ``path``; each named section, if present, must be an object too."""
     if path is None:
         return {}
     try:
-        return tio.read_json(path)
+        cfg = tio.read_json(path)
     except FileNotFoundError:
         raise CliError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise CliError(f"config file {path} is not valid JSON: {exc}")
+    if not isinstance(cfg, dict):
+        raise CliError(f"config file {path} must hold a JSON object, got {type(cfg).__name__}")
+    for name in sections:
+        if not isinstance(cfg.get(name, {}), dict):
+            raise CliError(f"config section {name!r} in {path} must be a JSON object")
+    return cfg
 
 
 def _apply_overrides(section, args, mapping):
@@ -68,7 +75,7 @@ def _out_path(args, name):
 
 
 def cmd_generate(args):
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, ("generator",))
     gen = _apply_overrides(
         cfg.get("generator", {}),
         args,
@@ -152,7 +159,7 @@ def _read_csv_checked(path):
 
 
 def cmd_train(args):
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, ("data", "train"))
     dataset = _read_training_data(args, cfg)
     train_cfg = _apply_overrides(cfg.get("train", {}), args, TRAIN_OVERRIDES)
     try:
@@ -236,21 +243,15 @@ def cmd_evaluate(args):
 
 
 def cmd_benchmark(args):
-    cfg = _load_config(args.config)
-    if args.seed is not None:
-        cfg.setdefault("base", {})["seed"] = args.seed
-    for flag, key in (("degree", "degree"), ("rank", "rank")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            cfg.setdefault("base", {})[key] = value
-    if any(getattr(args, f, None) is not None for f in ("epochs", "batch", "lr")):
-        train = cfg.setdefault("train", {})
-        if args.epochs is not None:
-            train["epochs"] = args.epochs
-        if args.batch is not None:
-            train["batch_size"] = args.batch
-        if args.lr is not None:
-            train["learning_rate"] = args.lr
+    cfg = _load_config(args.config, ("base", "sweep", "train", "krr", "fm"))
+    base = _apply_overrides(
+        cfg.get("base", {}), args, {"seed": "seed", "degree": "degree", "rank": "rank"}
+    )
+    if base:  # an absent base stays absent, so run_benchmark names it
+        cfg["base"] = base
+    cfg["train"] = _apply_overrides(
+        cfg.get("train", {}), args, {"epochs": "epochs", "batch": "batch_size", "lr": "learning_rate"}
+    )
     try:
         rows, plot_data = run_benchmark(cfg)
     except ValueError as exc:

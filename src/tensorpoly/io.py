@@ -109,6 +109,8 @@ def model_to_dict(model):
 
 
 def model_from_dict(d):
+    if not isinstance(d, dict):
+        raise ValueError(f"model file must hold a JSON object, got {type(d).__name__}")
     if d.get("schema_version") != MODEL_SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema version {d.get('schema_version')!r}")
     for key in ("P", "Q", "lambda", "homogenized"):

@@ -163,7 +163,7 @@ class Dataset:
         return self.views[0]
 
     def take(self, idx):
-        """Row-subset dataset (used for mini-batches and CV folds)."""
+        """Row-subset dataset; serves the cross-validation folds."""
         return Dataset(views=[V[idx] for V in self.views], Y=self.Y[idx])
 
 
@@ -254,18 +254,28 @@ def forward_scalar(model, x):
     return float(np.dot(model.lam, terms))
 
 
+def forward_terms(P, lam, Q, views):
+    """Forward pass of a parameter set on resolved views: ``(Z, F, raw)``.
+
+    ``Z`` are the projections ``Z_d = X_d P_d^T``; ``F`` (m, n_t) is their
+    elementwise product, the per-term factor products; ``raw = F @
+    diag(lam) @ Q`` (m, n_y) is the output before the link. Prediction,
+    the loss, the gradients and deflation all build ``F`` here.
+    """
+    Z = z_factors(P, views)
+    F = Z[0].copy()
+    for Zd in Z[1:]:
+        F *= Zd
+    return Z, F, (F * lam) @ Q
+
+
 def forward_batch(model, views):
     """Batch forward pass.
 
     Returns ``(F, Yhat)`` where ``F`` is the (m, n_t) matrix of per-term
     factor products and ``Yhat = F @ diag(lam) @ Q`` is (m, n_y).
     """
-    views = resolve_views(model, views)
-    Z = z_factors(model.P, views)
-    F = Z[0].copy()
-    for Zd in Z[1:]:
-        F *= Zd
-    Yhat = (F * model.lam) @ model.Q
+    _, F, Yhat = forward_terms(model.P, model.lam, model.Q, resolve_views(model, views))
     return F, Yhat
 
 
@@ -277,14 +287,7 @@ def forward_partial(model, views, skip_d):
     """
     if not 1 <= skip_d <= model.n_d:
         raise ValueError(f"skip_d must be in [1, {model.n_d}], got {skip_d}")
-    views = resolve_views(model, views)
-    m = views[0].shape[0]
-    out = np.ones((m, model.n_t))
-    for d, (V, Pd) in enumerate(zip(views, model.P), start=1):
-        if d == skip_d:
-            continue
-        out *= V @ Pd.T
-    return out
+    return hadamard_partials(z_factors(model.P, resolve_views(model, views)))[skip_d - 1]
 
 
 def sigmoid(u):

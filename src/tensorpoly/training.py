@@ -3,18 +3,19 @@
 All modes share one subproblem engine: initialize a block of rank-one
 terms, then run epochs of shuffled mini-batches with ADAM updates.
 
-* ``fit_rankwise`` fits one term at a time against the running residual
-  and deflates after each (scalar outputs only).
 * ``fit_joint`` optimizes every term simultaneously on the matrix
-  objective; supports vector outputs and multi-view inputs.
+  objective; supports vector outputs and multi-view inputs. With
+  ``link="logistic"`` it is the classifier on binary {0,1} labels.
 * ``fit_layered`` fits blocks of terms jointly, deflating between
   blocks, and records the correlation ratio of per-layer predictions.
-* ``fit_logistic`` is the joint fitter with a logistic link on binary
-  labels.
+* ``fit_rankwise`` is the same deflation loop with one-term blocks
+  (scalar outputs only).
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -22,12 +23,13 @@ import numpy as np
 
 from .metrics import correlation_ratio
 from .model import (
+    LINKS,
     LtrModel,
+    forward_terms,
     hadamard_partials,
     homogenize,
     resolve_views,
     sigmoid,
-    z_factors,
 )
 
 MODES = ("rank_wise", "joint", "layered")
@@ -70,23 +72,31 @@ class TrainConfig:
     homogenize: bool = False
 
     def __post_init__(self):
-        if self.n_d < 1 or self.n_t < 1:
-            raise ValueError("n_d and n_t must be positive")
+        for name, low in (("n_d", 1), ("n_t", 1), ("epochs", 1), ("batch_size", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name in ("C_p", "C_q", "learning_rate", "adam_beta1", "adam_beta2", "adam_eps"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.C_p < 0 or self.C_q < 0:
             raise ValueError("regularization constants must be nonnegative")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch_size and epochs must be positive")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
+            raise ValueError("adam_beta1 and adam_beta2 must be in [0, 1)")
+        if self.adam_eps <= 0:
+            raise ValueError("adam_eps must be positive")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.link not in ("identity", "logistic"):
+        if self.link not in LINKS:
             raise ValueError(f"unknown link {self.link!r}")
         if self.mode == "layered":
             blocks = self.rank_blocks
-            if not blocks or any(int(b) < 1 for b in blocks):
-                raise ValueError("layered mode needs rank_blocks with every block >= 1")
-            if sum(int(b) for b in blocks) != self.n_t:
+            if not blocks or not all(isinstance(b, numbers.Integral) and b >= 1 for b in blocks):
+                raise ValueError("layered mode needs rank_blocks of integers >= 1")
+            if sum(blocks) != self.n_t:
                 raise ValueError("rank_blocks must sum to n_t")
             self.rank_blocks = [int(b) for b in blocks]
 
@@ -151,11 +161,7 @@ def _raw_loss(P, lam, Q, views, Y, C_p, C_q, link):
     m, n_y = Y.shape
     n_t = lam.shape[0]
     n_d = len(P)
-    Z = z_factors(P, views)
-    F = Z[0].copy()
-    for Zd in Z[1:]:
-        F *= Zd
-    raw = (F * lam) @ Q
+    _, _, raw = forward_terms(P, lam, Q, views)
     if link == "identity":
         E = Y - raw
         data = float(np.sum(E * E)) / (2.0 * m * n_y)
@@ -175,11 +181,7 @@ def _raw_gradients(P, lam, Q, views, Y, C_p, C_q, link):
     m, n_y = Y.shape
     n_t = lam.shape[0]
     n_d = len(P)
-    Z = z_factors(P, views)
-    F = Z[0].copy()
-    for Zd in Z[1:]:
-        F *= Zd
-    raw = (F * lam) @ Q
+    Z, F, raw = forward_terms(P, lam, Q, views)
     if link == "identity":
         E = Y - raw
     else:
@@ -204,26 +206,22 @@ def loss(model, dataset, config):
     on the factor matrices and output components; with a logistic link
     the data term is the mean negative log-likelihood instead.
     """
-    if dataset.m == 0:
-        raise ValueError("empty dataset")
-    views = resolve_views(model, dataset.views)
-    if dataset.n_y != model.n_y:
-        raise ValueError(f"Y has {dataset.n_y} columns, model expects {model.n_y}")
-    return _raw_loss(
-        model.P, model.lam, model.Q, views, dataset.Y, config.C_p, config.C_q, config.link
-    )
+    return _raw_loss(*_model_inputs(model, dataset), config.C_p, config.C_q, config.link)
 
 
 def gradients(model, batch, config):
     """Analytic gradients of `loss` on a batch: ``(g_lam, g_P, g_Q)``."""
-    if batch.m == 0:
-        raise ValueError("empty batch")
-    views = resolve_views(model, batch.views)
-    if batch.n_y != model.n_y:
-        raise ValueError(f"Y has {batch.n_y} columns, model expects {model.n_y}")
-    return _raw_gradients(
-        model.P, model.lam, model.Q, views, batch.Y, config.C_p, config.C_q, config.link
-    )
+    return _raw_gradients(*_model_inputs(model, batch), config.C_p, config.C_q, config.link)
+
+
+def _model_inputs(model, data):
+    """``(P, lam, Q, views, Y)`` of a model on a non-empty dataset with matching shapes."""
+    if data.m == 0:
+        raise ValueError("empty dataset")
+    views = resolve_views(model, data.views)
+    if data.n_y != model.n_y:
+        raise ValueError(f"Y has {data.n_y} columns, model expects {model.n_y}")
+    return model.P, model.lam, model.Q, views, data.Y
 
 
 def adam_step(
@@ -284,20 +282,13 @@ def _fit_block(views, Y, n_t, config, rng, link):
         raise ValueError("empty dataset")
     P = [rng.standard_normal((n_t, V.shape[1])) / np.sqrt(V.shape[1]) for V in views]
     lam = np.ones(n_t)
-    if n_y == 1:
-        Q = np.ones((n_t, 1))
-        train_q = False
-    else:
-        Q = rng.standard_normal((n_t, n_y)) / np.sqrt(n_y)
-        train_q = True
+    train_q = n_y > 1
+    Q = rng.standard_normal((n_t, n_y)) / np.sqrt(n_y) if train_q else np.ones((n_t, 1))
     state = AdamState.zeros(lam, P, Q)
     trace = []
     B = config.batch_size
     for epoch in range(1, config.epochs + 1):
-        if config.shuffle:
-            order = rng.permutation(m)
-        else:
-            order = None
+        order = rng.permutation(m) if config.shuffle else None
         for start in range(0, m, B):
             stop = min(start + B, m)
             idx = order[start:stop] if order is not None else slice(start, stop)
@@ -322,14 +313,6 @@ def _fit_block(views, Y, n_t, config, rng, link):
     return lam, P, Q, trace
 
 
-def _block_prediction(views, lam, P, Q):
-    Z = z_factors(P, views)
-    F = Z[0].copy()
-    for Zd in Z[1:]:
-        F *= Zd
-    return (F * lam) @ Q
-
-
 def fit_rank_one(dataset, residual, config):
     """Fit a single rank-one term against ``residual``.
 
@@ -349,44 +332,48 @@ def fit_rank_one(dataset, residual, config):
     return float(lam[0]), [Pd[0] for Pd in P], trace
 
 
-def fit_rankwise(dataset, config):
-    """Rank-wise fitting with deflation, for scalar outputs.
+def _fit_deflated(dataset, config, blocks):
+    """Fit ``blocks`` of terms in turn, each against the residual the earlier ones left.
 
-    Each term is fit against the current residual and subtracted; a term
-    that fails to reduce the training sum of squares is zeroed out so
-    the residual-norm sequence never increases.
+    A block that fails to reduce the training sum of squares is zeroed
+    out, so the residual-norm sequence never increases. Layered fits
+    also record the correlation ratio of the per-layer predictions.
     """
-    if config.mode != "rank_wise":
-        raise ValueError("config.mode must be 'rank_wise'")
-    if dataset.n_y != 1:
-        raise ValueError("rank-wise mode handles scalar outputs only")
+    if config.link != "identity":
+        raise ValueError("logistic link requires mode='joint'")
+    layered = config.mode == "layered"
     views = prepared_views(dataset, config)
     rng = np.random.default_rng(config.seed)
     residual = dataset.Y.copy()
-    report = FitReport(mode="rank_wise", residual_norms=[float(np.linalg.norm(residual))])
-    lam_all = np.zeros(config.n_t)
-    P_rows = [[] for _ in range(config.n_d)]
-    for t in range(config.n_t):
+    report = FitReport(
+        mode=config.mode,
+        residual_norms=[float(np.linalg.norm(residual))],
+        eta_squared=[] if layered else None,
+    )
+    fitted, layer_preds = [], []
+    for block in blocks:
         t0 = time.perf_counter()
-        lam_b, P_b, _, trace = _fit_block(views, residual, 1, config, rng, "identity")
-        pred = _block_prediction(views, lam_b, P_b, np.ones((1, 1)))
+        lam_b, P_b, Q_b, trace = _fit_block(views, residual, block, config, rng, "identity")
+        _, _, pred = forward_terms(P_b, lam_b, Q_b, views)
         new_residual = residual - pred
         if np.sum(new_residual**2) > np.sum(residual**2):
-            # the term did not help on the training data; drop its weight
-            lam_b[0] = 0.0
+            # the block did not help on the training data; drop its weight
+            lam_b[:] = 0.0
+            pred = np.zeros_like(pred)
             new_residual = residual
         residual = new_residual
-        lam_all[t] = lam_b[0]
-        for d in range(config.n_d):
-            P_rows[d].append(P_b[d][0])
+        fitted.append((lam_b, P_b, Q_b))
         report.loss_traces.append(trace)
         report.residual_norms.append(float(np.linalg.norm(residual)))
+        if layered:
+            layer_preds.append(pred.reshape(-1))
+            report.eta_squared.append(correlation_ratio(np.vstack(layer_preds)))
         report.seconds.append(time.perf_counter() - t0)
-    P = [np.vstack(rows) for rows in P_rows]
+    lams, Ps, Qs = zip(*fitted)
     model = LtrModel(
-        P=P,
-        Q=np.ones((config.n_t, 1)),
-        lam=lam_all,
+        P=[np.vstack(rows) for rows in zip(*Ps)],
+        Q=np.vstack(Qs),
+        lam=np.concatenate(lams),
         homogenized=config.homogenize,
         link="identity",
     )
@@ -394,10 +381,26 @@ def fit_rankwise(dataset, config):
     return model, report
 
 
+def fit_rankwise(dataset, config):
+    """Rank-wise fitting with deflation, for scalar outputs: one-term blocks."""
+    if config.mode != "rank_wise":
+        raise ValueError("config.mode must be 'rank_wise'")
+    if dataset.n_y != 1:
+        raise ValueError("rank-wise mode handles scalar outputs only")
+    return _fit_deflated(dataset, config, [1] * config.n_t)
+
+
 def fit_joint(dataset, config):
-    """Optimize all ranks simultaneously on the matrix objective."""
+    """Optimize all ranks simultaneously on the matrix objective.
+
+    With ``config.link == "logistic"`` the labels must be binary {0,1}
+    and the report carries no residual norms.
+    """
     if config.mode != "joint":
         raise ValueError("config.mode must be 'joint'")
+    logistic = config.link == "logistic"
+    if logistic and not np.all((dataset.Y == 0.0) | (dataset.Y == 1.0)):
+        raise ValueError("logistic fitting needs binary {0,1} labels")
     views = prepared_views(dataset, config)
     rng = np.random.default_rng(config.seed)
     t0 = time.perf_counter()
@@ -406,11 +409,15 @@ def fit_joint(dataset, config):
     model = LtrModel(
         P=P, Q=Q, lam=lam, homogenized=config.homogenize, link=config.link
     )
-    resid = dataset.Y - _block_prediction(views, lam, P, Q)
+    if logistic:
+        norms = []
+    else:
+        resid = dataset.Y - forward_terms(P, lam, Q, views)[2]
+        norms = [float(np.linalg.norm(dataset.Y)), float(np.linalg.norm(resid))]
     report = FitReport(
         mode="joint",
         loss_traces=[trace],
-        residual_norms=[float(np.linalg.norm(dataset.Y)), float(np.linalg.norm(resid))],
+        residual_norms=norms,
         seconds=[seconds],
         final_lambda=model.lam.copy(),
     )
@@ -421,78 +428,11 @@ def fit_layered(dataset, config):
     """Fit rank blocks sequentially, deflating the output between blocks."""
     if config.mode != "layered":
         raise ValueError("config.mode must be 'layered'")
-    views = prepared_views(dataset, config)
-    rng = np.random.default_rng(config.seed)
-    residual = dataset.Y.copy()
-    report = FitReport(
-        mode="layered",
-        residual_norms=[float(np.linalg.norm(residual))],
-        eta_squared=[],
-    )
-    lam_parts, Q_parts = [], []
-    P_parts = [[] for _ in range(config.n_d)]
-    layer_preds = []
-    for block in config.rank_blocks:
-        t0 = time.perf_counter()
-        lam_b, P_b, Q_b, trace = _fit_block(views, residual, block, config, rng, "identity")
-        pred = _block_prediction(views, lam_b, P_b, Q_b)
-        new_residual = residual - pred
-        if np.sum(new_residual**2) > np.sum(residual**2):
-            lam_b[:] = 0.0
-            pred = np.zeros_like(pred)
-            new_residual = residual
-        residual = new_residual
-        lam_parts.append(lam_b)
-        Q_parts.append(Q_b)
-        for d in range(config.n_d):
-            P_parts[d].append(P_b[d])
-        layer_preds.append(pred.reshape(-1))
-        report.loss_traces.append(trace)
-        report.residual_norms.append(float(np.linalg.norm(residual)))
-        report.eta_squared.append(correlation_ratio(np.vstack(layer_preds)))
-        report.seconds.append(time.perf_counter() - t0)
-    model = LtrModel(
-        P=[np.vstack(rows) for rows in P_parts],
-        Q=np.vstack(Q_parts),
-        lam=np.concatenate(lam_parts),
-        homogenized=config.homogenize,
-        link="identity",
-    )
-    report.final_lambda = model.lam.copy()
-    return model, report
-
-
-def fit_logistic(dataset, config):
-    """Joint fit of a logistic-link model on binary {0,1} labels."""
-    if config.link != "logistic":
-        raise ValueError("config.link must be 'logistic'")
-    Y = dataset.Y
-    if not np.all((Y == 0.0) | (Y == 1.0)):
-        raise ValueError("logistic fitting needs binary {0,1} labels")
-    views = prepared_views(dataset, config)
-    rng = np.random.default_rng(config.seed)
-    t0 = time.perf_counter()
-    lam, P, Q, trace = _fit_block(views, Y, config.n_t, config, rng, "logistic")
-    seconds = time.perf_counter() - t0
-    model = LtrModel(
-        P=P, Q=Q, lam=lam, homogenized=config.homogenize, link="logistic"
-    )
-    report = FitReport(
-        mode="joint",
-        loss_traces=[trace],
-        residual_norms=[],
-        seconds=[seconds],
-        final_lambda=model.lam.copy(),
-    )
-    return model, report
+    return _fit_deflated(dataset, config, config.rank_blocks)
 
 
 def fit(dataset, config):
     """Dispatch to the fitting mode selected by ``config``."""
-    if config.link == "logistic":
-        if config.mode != "joint":
-            raise ValueError("logistic link requires mode='joint'")
-        return fit_logistic(dataset, config)
     if config.mode == "rank_wise":
         return fit_rankwise(dataset, config)
     if config.mode == "joint":

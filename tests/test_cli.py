@@ -469,6 +469,8 @@ PREDICT_ARGS = ["predict", "--model", "{dir}/model.json", "--input", "{dir}/in.c
                 "--out", "{dir}/out"]
 BENCH_ARGS = ["benchmark", "--config", "{dir}/cfg.json", "--out", "{dir}/out"]
 NO_BASE = json.dumps({"sweep": {"variable": "degree", "values": [1]}})
+TRAIN_CFG_ARGS = TRAIN_ARGS + ["--config", "{dir}/cfg.json"]
+XY_CSV = "x1,x2,y\n1,2,2\n3,4,12\n"
 
 # (id, files to write, argv, regex searched in the one stderr line after "error: ");
 # the CSV patterns name only the path and the offending field, not numpy's wording
@@ -490,6 +492,23 @@ REJECTED = [
      r"benchmark config needs a base section"),
     ("benchmark-base-without-sizes", {"cfg.json": NO_BASE}, BENCH_ARGS + ["--seed", "3"],
      r"benchmark base section is missing \['m', 'n', 'rank'\]"),
+    ("model-json-list", {"model.json": "[]", "in.csv": "x1,x2\n1,2\n"}, PREDICT_ARGS,
+     r"model file must hold a JSON object, got list"),
+    ("train-config-list", {"cfg.json": "[]", "in.csv": XY_CSV}, TRAIN_CFG_ARGS,
+     r"cfg\.json must hold a JSON object, got list"),
+    ("benchmark-config-string", {"cfg.json": '"x"'}, BENCH_ARGS,
+     r"cfg\.json must hold a JSON object, got str"),
+    ("train-section-number", {"cfg.json": '{"train": 5}', "in.csv": XY_CSV}, TRAIN_CFG_ARGS,
+     r"config section 'train' in \S*cfg\.json must be a JSON object"),
+    ("generator-section-list", {"cfg.json": '{"generator": []}'},
+     ["generate", "--config", "{dir}/cfg.json", "--out", "{dir}/out"],
+     r"config section 'generator' in \S*cfg\.json must be a JSON object"),
+    ("benchmark-base-list", {"cfg.json": json.dumps({"base": [], **json.loads(NO_BASE)})},
+     BENCH_ARGS, r"config section 'base' in \S*cfg\.json must be a JSON object"),
+    ("train-lr-nan", {"in.csv": XY_CSV}, TRAIN_ARGS + ["--lr", "nan"],
+     r"learning_rate must be a finite number, got nan"),
+    ("train-n_d-fraction", {"cfg.json": '{"train": {"n_d": 2.5}}', "in.csv": XY_CSV},
+     TRAIN_CFG_ARGS, r"n_d must be an integer >= 1, got 2\.5"),
 ]
 
 # (id, x1,x2 input CSV, expected x1 * x2 predictions)

@@ -11,7 +11,6 @@ from tensorpoly import (
     fit,
     fit_joint,
     fit_layered,
-    fit_logistic,
     fit_rank_one,
     fit_rankwise,
     forward_batch,
@@ -376,13 +375,15 @@ class TestFitLayered:
     def test_unit_blocks_match_rankwise_structure(self):
         ds = quadratics_dataset("xy", 1000, seed=3)
         kw = dict(n_d=2, n_t=2, epochs=10, batch_size=50, learning_rate=0.05, seed=2)
-        _, rep_rank = fit_rankwise(ds, TrainConfig(mode="rank_wise", **kw))
-        _, rep_layer = fit_layered(ds, TrainConfig(mode="layered", rank_blocks=[1, 1], **kw))
-        assert len(rep_rank.residual_norms) == len(rep_layer.residual_norms)
-        # both solve the same scalar subproblems; the traces agree closely
-        final_rank = rep_rank.residual_norms[-1]
-        final_layer = rep_layer.residual_norms[-1]
-        assert final_layer == pytest.approx(final_rank, rel=0.05, abs=1e-6)
+        m_rank, rep_rank = fit_rankwise(ds, TrainConfig(mode="rank_wise", **kw))
+        m_layer, rep_layer = fit_layered(ds, TrainConfig(mode="layered", rank_blocks=[1, 1], **kw))
+        # both run the same deflation loop on the same scalar subproblems: equal bits
+        assert all(np.array_equal(a, b) for a, b in zip(m_rank.P, m_layer.P))
+        assert np.array_equal(m_rank.lam, m_layer.lam)
+        assert np.array_equal(m_rank.Q, m_layer.Q)
+        assert np.array_equal(rep_rank.loss_traces, rep_layer.loss_traces)
+        assert np.array_equal(rep_rank.residual_norms, rep_layer.residual_norms)
+        assert rep_rank.eta_squared is None and len(rep_layer.eta_squared) == 2
 
     def test_residuals_non_increasing_on_degree3_rank6(self):
         rng = np.random.default_rng(2)
@@ -451,16 +452,19 @@ class TestFitLogistic:
         ds = Dataset(views=[rng.standard_normal((50, 2))],
                      Y=rng.standard_normal(50))
         cfg = TrainConfig(n_d=2, n_t=1, mode="joint", link="logistic")
-        with pytest.raises(ValueError):
-            fit_logistic(ds, cfg)
+        with pytest.raises(ValueError, match="binary"):
+            fit(ds, cfg)
 
     def test_dispatcher_rejects_logistic_deflation(self):
         rng = np.random.default_rng(2)
         ds = Dataset(views=[rng.standard_normal((50, 2))],
                      Y=(rng.random(50) < 0.5).astype(float))
-        cfg = TrainConfig(n_d=2, n_t=1, mode="rank_wise", link="logistic")
-        with pytest.raises(ValueError):
-            fit(ds, cfg)
+        rank_wise = TrainConfig(n_d=2, n_t=1, mode="rank_wise", link="logistic")
+        layered = TrainConfig(n_d=2, n_t=1, mode="layered", rank_blocks=[1], link="logistic")
+        for fitter, cfg in ((fit, rank_wise), (fit, layered),
+                            (fit_rankwise, rank_wise), (fit_layered, layered)):
+            with pytest.raises(ValueError, match="logistic link requires mode='joint'"):
+                fitter(ds, cfg)
 
 
 class TestTrainingInvariants:
@@ -523,3 +527,33 @@ class TestConfigValidation:
             TrainConfig(n_d=1, n_t=1, mode="bogus")
         with pytest.raises(ValueError):
             TrainConfig(n_d=1, n_t=1, link="probit")
+
+    @pytest.mark.parametrize("kw", [
+        dict(learning_rate=float("nan")),
+        dict(learning_rate=float("inf")),
+        dict(C_p=float("nan")),
+        dict(C_q=float("-inf")),
+        dict(adam_eps=float("nan")),
+        dict(learning_rate="0.1"),
+        dict(n_d=2.5),
+        dict(n_t=2.0),
+        dict(epochs=1.5),
+        dict(batch_size=50.5),
+        dict(seed=0.5),
+        dict(mode="layered", n_t=3, rank_blocks=[1.7, 1.3]),
+        dict(mode="layered", n_t=2, rank_blocks=[2.0]),
+        dict(adam_beta1=1.5),
+        dict(adam_beta1=-0.1),
+        dict(adam_beta2=1.0),
+        dict(adam_eps=-1.0),
+        dict(adam_eps=0.0),
+    ], ids=lambda kw: ",".join(f"{k}={v!r}" for k, v in kw.items()))
+    def test_rejects_values_it_cannot_train_with(self, kw):
+        with pytest.raises(ValueError):
+            TrainConfig(**{"n_d": 2, "n_t": 2, **kw})
+
+    def test_numpy_scalars_accepted(self):
+        cfg = TrainConfig(n_d=np.int64(2), n_t=np.int32(3), batch_size=np.int64(10),
+                          learning_rate=np.float64(0.1), adam_beta2=0.0,
+                          mode="layered", rank_blocks=[np.int64(1), np.int64(2)])
+        assert cfg.rank_blocks == [1, 2]
