@@ -7,7 +7,7 @@ factor d consumes its own input matrix X_d.
 
 import numpy as np
 
-from tensorpoly import Dataset, TrainConfig, fit_joint, pearson, predict
+from tensorpoly import Dataset, TrainConfig, fit, pearson, predict
 
 rng = np.random.default_rng(8)
 
@@ -21,7 +21,7 @@ Y = F @ true_Q
 
 cfg = TrainConfig(n_d=2, n_t=3, epochs=15, batch_size=100, learning_rate=0.05,
                   mode="joint", seed=3)
-model, report = fit_joint(Dataset(views=[X], Y=Y), cfg)
+model, report = fit(Dataset(views=[X], Y=Y), cfg)
 yhat = predict(model, X)
 print("vector-valued fit, per-output Pearson:")
 for j in range(n_y):
@@ -35,7 +35,7 @@ y = (X1 @ [1.0, -0.5, 0.2]) * (X2 @ [0.7, 1.0])
 
 cfg_mv = TrainConfig(n_d=2, n_t=2, epochs=10, batch_size=100, learning_rate=0.05,
                      mode="joint", seed=4)
-model_mv, _ = fit_joint(Dataset(views=[X1, X2], Y=y), cfg_mv)
+model_mv, _ = fit(Dataset(views=[X1, X2], Y=y), cfg_mv)
 yhat_mv = predict(model_mv, [X1, X2])
 print(f"\nmulti-view fit (views of width {model_mv.dims}):",
       f"Pearson {pearson(y, yhat_mv[:, 0]):.4f}")

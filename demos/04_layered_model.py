@@ -9,8 +9,7 @@ means to the total variance; for zero-mean targets it stays near 0.
 from tensorpoly import (
     GeneratorSpec,
     TrainConfig,
-    fit_layered,
-    fit_rankwise,
+    fit,
     generate_model,
     sample_dataset,
 )
@@ -20,7 +19,7 @@ dataset = sample_dataset(generate_model(spec), 10_000, 0.0, seed=22)
 
 cfg = TrainConfig(n_d=3, n_t=6, epochs=10, batch_size=100, learning_rate=0.05,
                   mode="layered", rank_blocks=[2, 2, 2], seed=9)
-model, report = fit_layered(dataset, cfg)
+model, report = fit(dataset, cfg)
 
 print("blocks of 2 ranks, residual norm after each layer:")
 for i, norm in enumerate(report.residual_norms):
@@ -31,6 +30,6 @@ print("correlation ratio per layer:", [f"{v:.2e}" for v in report.eta_squared])
 # one term at a time is the fully decomposed variant of the same idea
 cfg_rw = TrainConfig(n_d=3, n_t=6, epochs=10, batch_size=100, learning_rate=0.05,
                      mode="rank_wise", seed=9)
-_, report_rw = fit_rankwise(dataset, cfg_rw)
+_, report_rw = fit(dataset, cfg_rw)
 print("\nrank-wise deflation, residual norm after each term:")
 print("  " + " -> ".join(f"{v:.2f}" for v in report_rw.residual_norms))

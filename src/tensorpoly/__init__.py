@@ -1,96 +1,37 @@
-"""tensorpoly: polynomial function learning via rank-one tensor terms."""
+"""tensorpoly: polynomial function learning via rank-one tensor terms.
+
+The package exports the names the README and the demos use; the loss,
+gradients and ADAM, the baselines, the benchmark runner and the CLI are
+imported from their submodules.
+"""
 
 from .model import (
     Dataset,
-    DenseTensor,
     LtrModel,
-    forward_batch,
-    forward_partial,
     forward_scalar,
-    homogenize,
     materialize_tensor,
     predict,
     tensor_contract,
 )
-from .training import (
-    AdamState,
-    FitReport,
-    TrainConfig,
-    TrainingDivergedError,
-    adam_step,
-    fit,
-    fit_joint,
-    fit_layered,
-    fit_rank_one,
-    fit_rankwise,
-    gradients,
-    loss,
-)
+from .training import TrainConfig, fit
 from .datagen import GeneratorSpec, generate_model, sample_dataset, quadratics_dataset
-from .metrics import (
-    CvPlan,
-    correlation_ratio,
-    cross_validate,
-    f1_multilabel,
-    make_cv_plan,
-    pearson,
-    rmse,
-)
-from .baselines import (
-    KrrModel,
-    anova_terms,
-    fm_fit_gd,
-    fm_forward,
-    krr_fit,
-    krr_predict,
-    linreg_fit,
-    linreg_predict,
-    poly_kernel,
-)
+from .metrics import cross_validate, pearson
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState",
-    "CvPlan",
     "Dataset",
-    "DenseTensor",
-    "FitReport",
     "GeneratorSpec",
-    "KrrModel",
     "LtrModel",
     "TrainConfig",
-    "TrainingDivergedError",
-    "adam_step",
-    "anova_terms",
-    "correlation_ratio",
     "cross_validate",
-    "f1_multilabel",
     "fit",
-    "fit_joint",
-    "fit_layered",
-    "fit_rank_one",
-    "fit_rankwise",
-    "fm_fit_gd",
-    "fm_forward",
-    "forward_batch",
-    "forward_partial",
     "forward_scalar",
     "generate_model",
-    "gradients",
-    "homogenize",
-    "krr_fit",
-    "krr_predict",
-    "linreg_fit",
-    "linreg_predict",
-    "loss",
-    "make_cv_plan",
     "materialize_tensor",
     "pearson",
-    "poly_kernel",
     "predict",
-    "rmse",
-    "sample_dataset",
     "quadratics_dataset",
+    "sample_dataset",
     "tensor_contract",
 ]

@@ -17,7 +17,7 @@ import numpy as np
 from . import baselines
 from .datagen import GeneratorSpec, generate_model, sample_dataset
 from .metrics import cross_validate
-from .model import predict
+from .model import integral, predict
 from .training import TrainConfig, fit
 
 SWEEP_VARIABLES = ("degree", "rank", "noise", "variables", "sample-size")
@@ -101,8 +101,8 @@ def _point_seeds(seed, index):
 
 def _build_learner(name, params, cfg, fit_seconds):
     train_cfg = dict(cfg.get("train", {}))
-    train_cfg["n_d"] = int(params["degree"])
-    train_cfg["n_t"] = int(params["rank"])
+    train_cfg["n_d"] = params["degree"]
+    train_cfg["n_t"] = params["rank"]
     if name == "ltr":
         return ltr_learner(TrainConfig(**train_cfg), fit_seconds)
     if name == "lr":
@@ -111,15 +111,15 @@ def _build_learner(name, params, cfg, fit_seconds):
         krr_cfg = cfg.get("krr", {})
         return krr_learner(
             b=float(krr_cfg.get("bias", 1.0)),
-            n_d=int(params["degree"]),
+            n_d=params["degree"],
             ridge=float(krr_cfg.get("ridge", 1e-8)),
             fit_seconds=fit_seconds,
         )
     if name == "fm":
         fm_cfg = cfg.get("fm", {})
         return fm_learner(
-            n_d=int(params["degree"]),
-            n_t=int(params["rank"]),
+            n_d=params["degree"],
+            n_t=params["rank"],
             steps=int(fm_cfg.get("steps", 300)),
             learning_rate=float(fm_cfg.get("learning_rate", 0.05)),
             restarts=int(fm_cfg.get("restarts", 3)),
@@ -143,10 +143,10 @@ def _run_point(index, value, cfg):
     model_seed, data_seed, fold_seed = _point_seeds(base.get("seed", 0), index)
     rows = []
     spec = GeneratorSpec(
-        n=int(params["n"]),
-        n_d=int(params["degree"]),
-        n_t=int(params["rank"]),
-        m=int(params["m"]),
+        n=params["n"],
+        n_d=params["degree"],
+        n_t=params["rank"],
+        m=params["m"],
         noise_level=float(params.get("noise", 0.0)),
         seed=model_seed,
     )
@@ -194,6 +194,10 @@ def run_benchmark(cfg):
     if missing:
         raise ValueError(f"benchmark base section is missing {sorted(missing)}")
     values = list(sweep["values"])
+    for value in values:  # every point's sizes are counts; none is truncated
+        params = _point_params(cfg["base"], variable, value)
+        for key in ("n", "degree", "rank", "m"):
+            integral(f"benchmark {key} at {variable}={value!r}", params[key])
     workers = max(1, int(os.environ.get(THREADS_ENV, "1")))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -21,7 +21,7 @@ from . import io as tio
 from .benchmark import run_benchmark
 from .datagen import GeneratorSpec, generate_model, sample_dataset, quadratics_dataset, QUADRATIC_FUNCTIONS
 from .metrics import accuracy, f1_multilabel, pearson, rmse, top_k_binarize
-from .model import Dataset, predict
+from .model import Dataset, integral, predict
 from .training import TrainConfig, TrainingDivergedError, fit
 
 
@@ -82,17 +82,17 @@ def cmd_generate(args):
         {"seed": "seed", "degree": "degree", "rank": "rank"},
     )
     gtype = gen.get("type", "random")
-    m = int(gen.get("m", 1000))
-    test_m = int(gen.get("test_m", m))
-    seed = int(gen.get("seed", 0))
+    m = integral("m", gen.get("m", 1000))
+    test_m = integral("test_m", gen.get("test_m", m))
+    seed = integral("seed", gen.get("seed", 0), 0)
     test_seed = seed + 1_000_003
 
     true_model_file = None
     if gtype == "random":
         spec = GeneratorSpec(
-            n=int(gen.get("n", 2)),
-            n_d=int(gen.get("degree", 2)),
-            n_t=int(gen.get("rank", 2)),
+            n=integral("n", gen.get("n", 2)),
+            n_d=integral("degree", gen.get("degree", 2)),
+            n_t=integral("rank", gen.get("rank", 2)),
             m=m,
             noise_level=float(gen.get("noise", 0.0)),
             seed=seed,
@@ -184,10 +184,7 @@ def cmd_predict(args):
         raise CliError(f"model file not found: {args.model}")
     model = tio.load_model(args.model)
     if args.views:
-        views = []
-        for p in args.views:
-            X, _ = _read_csv_checked(p)
-            views.append(X)
+        views = [_read_csv_checked(p)[0] for p in args.views]
     else:
         if not args.input:
             raise CliError("predict needs --input or --views")
@@ -231,10 +228,7 @@ def cmd_evaluate(args):
             ),
         }
     else:  # multilabel
-        if args.topk:
-            pred_bin = top_k_binarize(yhat, args.topk)
-        else:
-            pred_bin = (yhat >= 0.5).astype(int)
+        pred_bin = top_k_binarize(yhat, args.topk) if args.topk else (yhat >= 0.5).astype(int)
         metrics = {"micro_f1": f1_multilabel(ytrue.astype(int), pred_bin)}
     out_file = _out_path(args, "metrics.json")
     tio.write_json(out_file, metrics)
@@ -299,6 +293,18 @@ def cmd_gradcheck(args):
     return 0
 
 
+SHARED_FLAGS = {
+    "config": dict(help="JSON run config"),
+    "seed": dict(type=int, help="override the config seed"),
+    "out": dict(help="output directory (default: current)"),
+    "degree": dict(type=int, help="override polynomial degree"),
+    "rank": dict(type=int, help="override rank (number of terms)"),
+    "epochs": dict(type=int, help="override epoch count"),
+    "batch": dict(type=int, help="override mini-batch size"),
+    "lr": dict(type=float, help="override learning rate"),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="tensorpoly",
@@ -306,33 +312,28 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON run config")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--out", help="output directory (default: current)")
-        p.add_argument("--degree", type=int, help="override polynomial degree")
-        p.add_argument("--rank", type=int, help="override rank (number of terms)")
-        p.add_argument("--epochs", type=int, help="override epoch count")
-        p.add_argument("--batch", type=int, help="override mini-batch size")
-        p.add_argument("--lr", type=float, help="override learning rate")
+    def shared(p, *names):
+        """Attach the shared flags in ``names``: exactly the ones the subcommand reads."""
+        for name in names:
+            p.add_argument(f"--{name}", **SHARED_FLAGS[name])
 
     p = sub.add_parser("generate", help="write synthetic train/test CSVs plus a manifest")
-    common(p)
+    shared(p, "config", "seed", "out", "degree", "rank")
 
     p = sub.add_parser("train", help="fit a model and write model/report JSON")
-    common(p)
+    shared(p, *SHARED_FLAGS)
     p.add_argument("--data", help="single CSV with x* and y* columns")
     p.add_argument("--views", nargs="+", help="one CSV per view (multi-view)")
     p.add_argument("--labels", help="shared outputs CSV for multi-view training")
 
     p = sub.add_parser("predict", help="write predictions for an input CSV")
-    common(p)
+    shared(p, "out")
     p.add_argument("--model", required=True, help="model JSON file")
     p.add_argument("--input", help="input CSV (x* columns)")
     p.add_argument("--views", nargs="+", help="one CSV per view (multi-view)")
 
     p = sub.add_parser("evaluate", help="compare predictions against ground truth")
-    common(p)
+    shared(p, "out")
     p.add_argument("--predictions", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument(
@@ -343,10 +344,10 @@ def build_parser():
     p.add_argument("--topk", type=int, help="top-k binarization for multilabel")
 
     p = sub.add_parser("benchmark", help="run a one-variable sweep with cross-validation")
-    common(p)
+    shared(p, *SHARED_FLAGS)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the analytic gradients")
-    common(p)
+    shared(p, "config")
     p.add_argument(
         "--corrupt",
         choices=["flip-q"],
@@ -376,10 +377,7 @@ def main(argv=None):
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, LtrModel, forward_batch
+from .model import Dataset, LtrModel, forward_batch, integral
 
 
 @dataclass
@@ -22,8 +22,9 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.n, self.n_d, self.n_t, self.m) < 1:
-            raise ValueError("n, n_d, n_t and m must be positive")
+        for name in ("n", "n_d", "n_t", "m"):
+            integral(name, getattr(self, name))
+        integral("seed", self.seed, 0)
         if self.noise_level < 0:
             raise ValueError("noise_level must be nonnegative")
 

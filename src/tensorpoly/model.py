@@ -12,6 +12,7 @@ In the multi-view case each factor ``d`` consumes its own input matrix.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,13 @@ def _as_float_matrix(X, name="X"):
     if A.ndim != 2:
         raise ValueError(f"{name} must be a 2-d array, got shape {A.shape}")
     return A
+
+
+def integral(name, value, low=1):
+    """``value`` as an int; a ValueError naming ``name`` unless it is an integer >= ``low``."""
+    if not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 def homogenize(X):
@@ -277,17 +285,6 @@ def forward_batch(model, views):
     """
     _, F, Yhat = forward_terms(model.P, model.lam, model.Q, resolve_views(model, views))
     return F, Yhat
-
-
-def forward_partial(model, views, skip_d):
-    """Factor product with one factor left out.
-
-    ``skip_d`` is 1-based; the empty product at ``n_d == 1`` is the
-    all-ones matrix.
-    """
-    if not 1 <= skip_d <= model.n_d:
-        raise ValueError(f"skip_d must be in [1, {model.n_d}], got {skip_d}")
-    return hadamard_partials(z_factors(model.P, resolve_views(model, views)))[skip_d - 1]
 
 
 def sigmoid(u):

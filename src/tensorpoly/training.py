@@ -1,14 +1,15 @@
-"""Loss, analytic gradients, and the mini-batch ADAM fitting modes.
+"""Loss, analytic gradients, and mini-batch ADAM fitting.
 
-All modes share one subproblem engine: initialize a block of rank-one
-terms, then run epochs of shuffled mini-batches with ADAM updates.
+`fit` is the one entry point; every mode runs the same block fitter:
+initialize a block of rank-one terms, then run epochs of shuffled
+mini-batches with ADAM updates.
 
-* ``fit_joint`` optimizes every term simultaneously on the matrix
+* ``joint`` optimizes every term simultaneously on the matrix
   objective; supports vector outputs and multi-view inputs. With
   ``link="logistic"`` it is the classifier on binary {0,1} labels.
-* ``fit_layered`` fits blocks of terms jointly, deflating between
-  blocks, and records the correlation ratio of per-layer predictions.
-* ``fit_rankwise`` is the same deflation loop with one-term blocks
+* ``layered`` fits blocks of terms jointly, deflating between blocks,
+  and records the correlation ratio of per-layer predictions.
+* ``rank_wise`` is the same deflation loop with one-term blocks
   (scalar outputs only).
 """
 
@@ -28,6 +29,7 @@ from .model import (
     forward_terms,
     hadamard_partials,
     homogenize,
+    integral,
     resolve_views,
     sigmoid,
 )
@@ -73,9 +75,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name, low in (("n_d", 1), ("n_t", 1), ("epochs", 1), ("batch_size", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            integral(name, getattr(self, name), low)
         for name in ("C_p", "C_q", "learning_rate", "adam_beta1", "adam_beta2", "adam_eps"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Real) or not math.isfinite(value):
@@ -103,26 +103,16 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second-moment accumulators mirroring (lam, P, Q), plus step count."""
+    """First/second moments of (lam, P, Q) as flat vectors, plus step count."""
 
-    m_lam: np.ndarray
-    v_lam: np.ndarray
-    m_P: list
-    v_P: list
-    m_Q: np.ndarray
-    v_Q: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
     def zeros(cls, lam, P, Q):
-        return cls(
-            m_lam=np.zeros_like(lam),
-            v_lam=np.zeros_like(lam),
-            m_P=[np.zeros_like(Pd) for Pd in P],
-            v_P=[np.zeros_like(Pd) for Pd in P],
-            m_Q=np.zeros_like(Q),
-            v_Q=np.zeros_like(Q),
-        )
+        size = lam.size + sum(Pd.size for Pd in P) + Q.size
+        return cls(m=np.zeros(size), v=np.zeros(size))
 
 
 @dataclass
@@ -235,25 +225,28 @@ def adam_step(
     eps=1e-8,
     update_q=True,
 ):
-    """One bias-corrected ADAM update applied in place to (lam, P, Q)."""
+    """One bias-corrected ADAM update applied in place to (lam, P, Q).
+
+    ADAM is elementwise, so all groups share one flat update. With
+    ``update_q=False`` Q's gradient slot is zero: its moments stay 0, its
+    step is exactly 0 and Q is left bitwise unchanged.
+    """
     lam, P, Q = params
     g_lam, g_P, g_Q = grads
+    g_Q = g_Q if update_q else np.zeros_like(Q)
+    g = np.concatenate([g_lam.ravel(), *(gd.ravel() for gd in g_P), g_Q.ravel()])
     state.step += 1
     b1c = 1.0 - beta1 ** state.step
     b2c = 1.0 - beta2 ** state.step
-
-    def update(theta, g, m, v):
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        theta -= learning_rate * (m / b1c) / (np.sqrt(v / b2c) + eps)
-
-    update(lam, g_lam, state.m_lam, state.v_lam)
-    for d in range(len(P)):
-        update(P[d], g_P[d], state.m_P[d], state.v_P[d])
-    if update_q:
-        update(Q, g_Q, state.m_Q, state.v_Q)
+    state.m *= beta1
+    state.m += (1.0 - beta1) * g
+    state.v *= beta2
+    state.v += (1.0 - beta2) * (g * g)
+    step = learning_rate * (state.m / b1c) / (np.sqrt(state.v / b2c) + eps)
+    start = 0
+    for theta in (lam, *P, Q):
+        theta -= step[start:start + theta.size].reshape(theta.shape)
+        start += theta.size
     return params, state
 
 
@@ -313,25 +306,6 @@ def _fit_block(views, Y, n_t, config, rng, link):
     return lam, P, Q, trace
 
 
-def fit_rank_one(dataset, residual, config):
-    """Fit a single rank-one term against ``residual``.
-
-    Returns ``(lam_t, [p_1 .. p_n_d], trace)`` where the trace is the
-    per-epoch loss of the subproblem.
-    """
-    residual = np.asarray(residual, dtype=float)
-    if residual.ndim == 1:
-        residual = residual.reshape(-1, 1)
-    if residual.shape[0] != dataset.m:
-        raise ValueError("residual row count must match the dataset")
-    if residual.shape[1] != 1:
-        raise ValueError("rank-one subproblems are scalar-output")
-    views = prepared_views(dataset, config)
-    rng = np.random.default_rng(config.seed)
-    lam, P, _, trace = _fit_block(views, residual, 1, config, rng, "identity")
-    return float(lam[0]), [Pd[0] for Pd in P], trace
-
-
 def _fit_deflated(dataset, config, blocks):
     """Fit ``blocks`` of terms in turn, each against the residual the earlier ones left.
 
@@ -381,23 +355,12 @@ def _fit_deflated(dataset, config, blocks):
     return model, report
 
 
-def fit_rankwise(dataset, config):
-    """Rank-wise fitting with deflation, for scalar outputs: one-term blocks."""
-    if config.mode != "rank_wise":
-        raise ValueError("config.mode must be 'rank_wise'")
-    if dataset.n_y != 1:
-        raise ValueError("rank-wise mode handles scalar outputs only")
-    return _fit_deflated(dataset, config, [1] * config.n_t)
-
-
-def fit_joint(dataset, config):
+def _fit_joint(dataset, config):
     """Optimize all ranks simultaneously on the matrix objective.
 
     With ``config.link == "logistic"`` the labels must be binary {0,1}
     and the report carries no residual norms.
     """
-    if config.mode != "joint":
-        raise ValueError("config.mode must be 'joint'")
     logistic = config.link == "logistic"
     if logistic and not np.all((dataset.Y == 0.0) | (dataset.Y == 1.0)):
         raise ValueError("logistic fitting needs binary {0,1} labels")
@@ -424,17 +387,17 @@ def fit_joint(dataset, config):
     return model, report
 
 
-def fit_layered(dataset, config):
-    """Fit rank blocks sequentially, deflating the output between blocks."""
-    if config.mode != "layered":
-        raise ValueError("config.mode must be 'layered'")
-    return _fit_deflated(dataset, config, config.rank_blocks)
-
-
 def fit(dataset, config):
-    """Dispatch to the fitting mode selected by ``config``."""
-    if config.mode == "rank_wise":
-        return fit_rankwise(dataset, config)
+    """Fit a model in the mode ``config.mode`` selects; returns ``(model, report)``.
+
+    ``joint`` trains all ``n_t`` terms at once; ``layered`` deflates
+    ``config.rank_blocks``; ``rank_wise`` deflates one term at a time and
+    needs scalar outputs.
+    """
     if config.mode == "joint":
-        return fit_joint(dataset, config)
-    return fit_layered(dataset, config)
+        return _fit_joint(dataset, config)
+    if config.mode == "layered":
+        return _fit_deflated(dataset, config, config.rank_blocks)
+    if dataset.n_y != 1:
+        raise ValueError("rank-wise mode handles scalar outputs only")
+    return _fit_deflated(dataset, config, [1] * config.n_t)

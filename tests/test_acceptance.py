@@ -17,8 +17,6 @@ from tensorpoly import (
     TrainConfig,
     cross_validate,
     fit,
-    fit_layered,
-    fit_rankwise,
     forward_scalar,
     generate_model,
     GeneratorSpec,
@@ -112,14 +110,14 @@ def test_criterion_4_deflation_monotonicity():
 
         cfg_rank = TrainConfig(n_d=3, n_t=6, epochs=10, batch_size=100,
                                learning_rate=0.05, mode="rank_wise", seed=9)
-        _, rep_rank = fit_rankwise(dataset, cfg_rank)
+        _, rep_rank = fit(dataset, cfg_rank)
         for a, b in zip(rep_rank.residual_norms, rep_rank.residual_norms[1:]):
             assert b <= a + 1e-8
 
         cfg_layer = TrainConfig(n_d=3, n_t=6, epochs=10, batch_size=100,
                                 learning_rate=0.05, mode="layered",
                                 rank_blocks=[2, 2, 2], seed=9)
-        _, rep_layer = fit_layered(dataset, cfg_layer)
+        _, rep_layer = fit(dataset, cfg_layer)
         for a, b in zip(rep_layer.residual_norms, rep_layer.residual_norms[1:]):
             assert b <= a + 1e-8
 

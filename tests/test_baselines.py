@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from tensorpoly import (
-    Dataset,
+from tensorpoly import Dataset, pearson, quadratics_dataset
+from tensorpoly.baselines import (
+    KRR_SIZE_CAP,
     anova_terms,
     fm_fit_gd,
     fm_forward,
@@ -12,12 +13,9 @@ from tensorpoly import (
     krr_predict,
     linreg_fit,
     linreg_predict,
-    pearson,
     poly_kernel,
-    rmse,
-    quadratics_dataset,
 )
-from tensorpoly.baselines import KRR_SIZE_CAP
+from tensorpoly.metrics import rmse
 
 
 class TestPolyKernel:

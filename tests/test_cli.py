@@ -468,6 +468,9 @@ TRAIN_ARGS = ["train", "--data", "{dir}/in.csv", "--epochs", "1", "--out", "{dir
 PREDICT_ARGS = ["predict", "--model", "{dir}/model.json", "--input", "{dir}/in.csv",
                 "--out", "{dir}/out"]
 BENCH_ARGS = ["benchmark", "--config", "{dir}/cfg.json", "--out", "{dir}/out"]
+GENERATE_ARGS = ["generate", "--config", "{dir}/cfg.json", "--out", "{dir}/out"]
+EVALUATE_ARGS = ["evaluate", "--predictions", "{dir}/p.csv", "--truth", "{dir}/t.csv",
+                 "--out", "{dir}/out"]
 NO_BASE = json.dumps({"sweep": {"variable": "degree", "values": [1]}})
 TRAIN_CFG_ARGS = TRAIN_ARGS + ["--config", "{dir}/cfg.json"]
 XY_CSV = "x1,x2,y\n1,2,2\n3,4,12\n"
@@ -500,8 +503,7 @@ REJECTED = [
      r"cfg\.json must hold a JSON object, got str"),
     ("train-section-number", {"cfg.json": '{"train": 5}', "in.csv": XY_CSV}, TRAIN_CFG_ARGS,
      r"config section 'train' in \S*cfg\.json must be a JSON object"),
-    ("generator-section-list", {"cfg.json": '{"generator": []}'},
-     ["generate", "--config", "{dir}/cfg.json", "--out", "{dir}/out"],
+    ("generator-section-list", {"cfg.json": '{"generator": []}'}, GENERATE_ARGS,
      r"config section 'generator' in \S*cfg\.json must be a JSON object"),
     ("benchmark-base-list", {"cfg.json": json.dumps({"base": [], **json.loads(NO_BASE)})},
      BENCH_ARGS, r"config section 'base' in \S*cfg\.json must be a JSON object"),
@@ -509,6 +511,35 @@ REJECTED = [
      r"learning_rate must be a finite number, got nan"),
     ("train-n_d-fraction", {"cfg.json": '{"train": {"n_d": 2.5}}', "in.csv": XY_CSV},
      TRAIN_CFG_ARGS, r"n_d must be an integer >= 1, got 2\.5"),
+    *[(f"generate-{key}-fraction", {"cfg.json": json.dumps({"generator": {key: 2.5}})},
+       GENERATE_ARGS, rf"^error: {key} must be an integer >= {low}, got 2\.5$")
+      for key, low in (("n", 1), ("degree", 1), ("rank", 1), ("m", 1), ("test_m", 1), ("seed", 0))],
+    ("generate-quadratics-m-fraction",
+     {"cfg.json": '{"generator": {"type": "quadratics", "m": 10.9}}'}, GENERATE_ARGS,
+     r"^error: m must be an integer >= 1, got 10\.9$"),
+    *[(f"benchmark-{variable}-fraction",
+       {"cfg.json": json.dumps({"sweep": {"variable": variable, "values": [3, 2.5]},
+                                "base": {"n": 3, "degree": 2, "rank": 2, "m": 50}})},
+       BENCH_ARGS, rf"benchmark {key} at {variable}=2\.5 must be an integer >= 1, got 2\.5")
+      for variable, key in (("degree", "degree"), ("rank", "rank"), ("variables", "n"),
+                            ("sample-size", "m"))],
+    ("benchmark-base-fraction",
+     {"cfg.json": json.dumps({"sweep": {"variable": "noise", "values": [0.0]},
+                              "base": {"n": 3.5, "degree": 2, "rank": 2, "m": 50}})},
+     BENCH_ARGS, r"benchmark n at noise=0\.0 must be an integer >= 1, got 3\.5"),
+]
+
+# (argv, shared flags the subcommand does not read): argparse rejects them
+UNREAD_FLAGS = [
+    ("generate", GENERATE_ARGS, ["--epochs", "3"]),
+    ("generate", GENERATE_ARGS, ["--batch", "10"]),
+    ("generate", GENERATE_ARGS, ["--lr", "0.1"]),
+    *[("predict", PREDICT_ARGS, [flag, "3"]) for flag in
+      ("--config", "--seed", "--degree", "--rank", "--epochs", "--batch", "--lr")],
+    *[("evaluate", EVALUATE_ARGS, [flag, "3"]) for flag in
+      ("--config", "--seed", "--degree", "--rank", "--epochs", "--batch", "--lr")],
+    *[("gradcheck", ["gradcheck"], [flag, "5"]) for flag in
+      ("--seed", "--out", "--degree", "--rank", "--epochs", "--batch", "--lr")],
 ]
 
 # (id, x1,x2 input CSV, expected x1 * x2 predictions)
@@ -535,6 +566,13 @@ class TestInputContract:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert re.search(message, err)
         assert " at row " not in err and "usecols" not in err  # loadtxt's data-row index, advice
+
+    @pytest.mark.parametrize("argv,extra", [case[1:] for case in UNREAD_FLAGS],
+                             ids=[f"{case[0]}{case[2][0]}" for case in UNREAD_FLAGS])
+    def test_unread_flag_is_usage_error(self, tmp_path, capsys, argv, extra):
+        assert run_cli(tmp_path, {}, argv + extra) == 2
+        assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text,expected",
                              [case[1:] for case in ACCEPTED], ids=[case[0] for case in ACCEPTED])

@@ -3,12 +3,12 @@ import pytest
 
 from tensorpoly import (
     GeneratorSpec,
-    forward_batch,
     forward_scalar,
     generate_model,
     sample_dataset,
     quadratics_dataset,
 )
+from tensorpoly.model import forward_batch
 
 
 class TestGenerateModel:
@@ -33,6 +33,10 @@ class TestGenerateModel:
             GeneratorSpec(n=2, n_d=2, n_t=0, m=10)
         with pytest.raises(ValueError):
             GeneratorSpec(n=2, n_d=2, n_t=1, m=10, noise_level=-0.5)
+        for kw in (dict(n=2.7), dict(n_d=2.5), dict(n_t=1.5), dict(m=10.9), dict(seed=1.5),
+                   dict(seed=-1)):
+            with pytest.raises(ValueError, match=f"{next(iter(kw))} must be an integer"):
+                GeneratorSpec(**{"n": 2, "n_d": 2, "n_t": 1, "m": 10, **kw})
 
 
 class TestSampleDataset:

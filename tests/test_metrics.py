@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from tensorpoly import (
-    Dataset,
+from tensorpoly import Dataset, cross_validate, pearson
+from tensorpoly.metrics import (
+    accuracy,
     correlation_ratio,
-    cross_validate,
     f1_multilabel,
     make_cv_plan,
-    pearson,
     rmse,
+    top_k_binarize,
 )
-from tensorpoly.metrics import accuracy, top_k_binarize
 
 
 class TestPearson:

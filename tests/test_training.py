@@ -2,24 +2,16 @@ import numpy as np
 import pytest
 
 from tensorpoly import (
-    AdamState,
     Dataset,
     LtrModel,
     TrainConfig,
-    TrainingDivergedError,
-    adam_step,
     fit,
-    fit_joint,
-    fit_layered,
-    fit_rank_one,
-    fit_rankwise,
-    forward_batch,
-    gradients,
-    loss,
     pearson,
     predict,
     quadratics_dataset,
 )
+from tensorpoly.model import forward_batch
+from tensorpoly.training import AdamState, TrainingDivergedError, adam_step, gradients, loss
 from tensorpoly.gradcheck import max_relative_error, numeric_gradients, run_suite
 from tensorpoly.metrics import accuracy
 
@@ -196,9 +188,64 @@ class TestAdamStep:
                  [rng.standard_normal((2, 3)) for _ in range(2)],
                  rng.standard_normal((2, 1)))
             adam_step(state, (lam, P, Q), g, 0.05)
-        assert np.all(state.v_lam >= 0)
-        assert all(np.all(v >= 0) for v in state.v_P)
-        assert np.all(state.v_Q >= 0)
+        assert state.v.shape == (2 + 2 * 6 + 2,)
+        assert np.all(state.v >= 0)
+
+    @pytest.mark.parametrize("update_q", [True, False])
+    def test_matches_per_group_reference(self, update_q):
+        rng = np.random.default_rng(17)
+        lam = rng.standard_normal(3)
+        P = [rng.standard_normal((3, 4)), rng.standard_normal((3, 2))]
+        Q = rng.standard_normal((3, 2))
+        ref = (lam.copy(), [p.copy() for p in P], Q.copy())
+        q0 = Q.copy()
+        state = AdamState.zeros(lam, P, Q)
+        ref_adam = PerGroupAdam(*ref)
+        kw = dict(beta1=0.8, beta2=0.99, eps=1e-7, update_q=update_q)
+        for _ in range(50):
+            g = (rng.standard_normal(3), [rng.standard_normal(p.shape) for p in P],
+                 rng.standard_normal(Q.shape))
+            adam_step(state, (lam, P, Q), g, 0.03, **kw)
+            ref_adam.step(ref, g, 0.03, **kw)
+            assert np.array_equal(lam, ref[0])
+            assert all(np.array_equal(a, b) for a, b in zip(P, ref[1]))
+            assert np.array_equal(Q, ref[2])
+            if not update_q:
+                assert np.array_equal(Q, q0)
+        assert state.step == 50
+
+
+class PerGroupAdam:
+    """The per-group ADAM update the flat state replaced, kept as the bitwise reference."""
+
+    def __init__(self, lam, P, Q):
+        self.m = [np.zeros_like(a) for a in (lam, *P, Q)]
+        self.v = [np.zeros_like(a) for a in (lam, *P, Q)]
+        self.t = 0
+
+    def step(self, params, grads, learning_rate, *, beta1, beta2, eps, update_q):
+        lam, P, Q = params
+        g_lam, g_P, g_Q = grads
+        self.t += 1
+        b1c = 1.0 - beta1 ** self.t
+        b2c = 1.0 - beta2 ** self.t
+
+        def update(theta, g, m, v):
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * (g * g)
+            theta -= learning_rate * (m / b1c) / (np.sqrt(v / b2c) + eps)
+
+        groups = [(lam, g_lam), *zip(P, g_P)] + ([(Q, g_Q)] if update_q else [])
+        for (theta, g), m, v in zip(groups, self.m, self.v):
+            update(theta, g, m, v)
+
+
+def fit_one_term(ds, cfg):
+    """``(lam_t, [p_1 .. p_n_d], trace)`` of a single rank-one term fit jointly."""
+    model, report = fit(ds, cfg)
+    return float(model.lam[0]), [Pd[0] for Pd in model.P], report.loss_traces[0]
 
 
 class TestFitRankOne:
@@ -207,8 +254,8 @@ class TestFitRankOne:
         X = rng.standard_normal((500, 3))
         ds = Dataset(views=[X], Y=np.zeros(500))
         cfg = TrainConfig(n_d=2, n_t=1, epochs=40, batch_size=50,
-                          learning_rate=0.05, seed=1)
-        lam_t, ps, _ = fit_rank_one(ds, ds.Y, cfg)
+                          learning_rate=0.05, mode="joint", seed=1)
+        lam_t, ps, _ = fit_one_term(ds, cfg)
         term = lam_t * (X @ ps[0]) * (X @ ps[1])
         assert np.sqrt(np.mean(term**2)) < 1e-3
 
@@ -219,8 +266,8 @@ class TestFitRankOne:
         y = (X @ a) * (X @ b)
         ds = Dataset(views=[X], Y=y)
         cfg = TrainConfig(n_d=2, n_t=1, epochs=10, batch_size=50,
-                          learning_rate=0.05, seed=2)
-        lam_t, ps, trace = fit_rank_one(ds, ds.Y, cfg)
+                          learning_rate=0.05, mode="joint", seed=2)
+        lam_t, ps, trace = fit_one_term(ds, cfg)
         yhat = lam_t * (X @ ps[0]) * (X @ ps[1])
         assert pearson(y, yhat) >= 0.999
         assert len(trace) == 10
@@ -250,23 +297,25 @@ class TestFitRankOne:
         X = rng.standard_normal((100, 3)) * 10
         ds = Dataset(views=[X], Y=rng.standard_normal(100) * 5)
         cfg = TrainConfig(n_d=3, n_t=1, epochs=5, batch_size=10,
-                          learning_rate=1e100, seed=0)
+                          learning_rate=1e100, mode="joint", seed=0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDivergedError) as err:
-                fit_rank_one(ds, ds.Y, cfg)
+                fit(ds, cfg)
         assert 1 <= err.value.epoch <= 5
 
 
 class TestFitRankwise:
     def test_single_rank_equals_fit_rank_one(self):
+        # one deflated term is the joint fit of n_t=1: same block fit, same rng
         ds = quadratics_dataset("xy", 300, seed=12)
-        cfg = TrainConfig(n_d=2, n_t=1, epochs=5, batch_size=50,
-                          learning_rate=0.05, mode="rank_wise", seed=8)
-        model, _ = fit_rankwise(ds, cfg)
-        lam_t, ps, _ = fit_rank_one(ds, ds.Y, cfg)
-        assert model.lam[0] == lam_t
-        for d in range(2):
-            assert np.array_equal(model.P[d][0], ps[d])
+        base = dict(n_d=2, n_t=1, epochs=5, batch_size=50, learning_rate=0.05, seed=8)
+        m_rank, rep_rank = fit(ds, TrainConfig(mode="rank_wise", **base))
+        m_joint, rep_joint = fit(ds, TrainConfig(mode="joint", **base))
+        assert all(np.array_equal(p, q) for p, q in zip(m_rank.P, m_joint.P))
+        assert np.array_equal(m_rank.lam, m_joint.lam)
+        assert np.array_equal(m_rank.Q, m_joint.Q)
+        assert np.array_equal(rep_rank.loss_traces, rep_joint.loss_traces)
+        assert np.array_equal(rep_rank.residual_norms, rep_joint.residual_norms)
 
     def test_learns_random_rank_two_model(self):
         from tensorpoly import GeneratorSpec, generate_model, sample_dataset
@@ -284,19 +333,20 @@ class TestFitRankwise:
         ds = quadratics_dataset("xy", 600, seed=3)
         cfg = TrainConfig(n_d=2, n_t=4, epochs=6, batch_size=50,
                           learning_rate=0.05, mode="rank_wise", seed=2)
-        _, report = fit_rankwise(ds, cfg)
+        _, report = fit(ds, cfg)
         norms = report.residual_norms
         assert len(norms) == 5
         for a, b in zip(norms, norms[1:]):
             assert b <= a + 1e-8
 
     def test_mode_and_output_preconditions(self):
+        # vector outputs need a mode that trains Q; rank-wise rejects them
         ds = quadratics_dataset("xy", 50, seed=1)
-        with pytest.raises(ValueError):
-            fit_rankwise(ds, TrainConfig(n_d=2, n_t=1, mode="joint"))
         multi = Dataset(views=[ds.X], Y=np.ones((50, 2)))
-        with pytest.raises(ValueError):
-            fit_rankwise(multi, TrainConfig(n_d=2, n_t=1, mode="rank_wise"))
+        with pytest.raises(ValueError, match="scalar outputs only"):
+            fit(multi, TrainConfig(n_d=2, n_t=1, mode="rank_wise"))
+        model, _ = fit(multi, TrainConfig(n_d=2, n_t=1, mode="joint", epochs=1, batch_size=10))
+        assert model.n_y == 2
 
 
 class TestFitJoint:
@@ -307,8 +357,8 @@ class TestFitJoint:
         y = (X @ a) * (X @ b)
         ds = Dataset(views=[X], Y=y)
         base = dict(n_d=2, n_t=1, epochs=10, batch_size=50, learning_rate=0.05, seed=2)
-        lam_t, ps, trace_one = fit_rank_one(ds, ds.Y, TrainConfig(**base))
-        _, report = fit_joint(ds, TrainConfig(mode="joint", **base))
+        _, _, trace_one = fit_one_term(ds, TrainConfig(mode="rank_wise", **base))
+        _, report = fit(ds, TrainConfig(mode="joint", **base))
         assert report.loss_traces[0][-1] == pytest.approx(trace_one[-1], rel=0.05)
 
     def test_vector_output_target(self):
@@ -319,7 +369,7 @@ class TestFitJoint:
         ds = Dataset(views=[X], Y=Y)
         cfg = TrainConfig(n_d=2, n_t=3, epochs=15, batch_size=100,
                           learning_rate=0.05, mode="joint", seed=3)
-        model, _ = fit_joint(ds, cfg)
+        model, _ = fit(ds, cfg)
         yhat = predict(model, X)
         for j in range(3):
             assert pearson(Y[:, j], yhat[:, j]) >= 0.95
@@ -330,8 +380,8 @@ class TestFitJoint:
         y = rng.standard_normal(400)
         cfg = TrainConfig(n_d=2, n_t=2, epochs=5, batch_size=64,
                           learning_rate=0.05, mode="joint", seed=42)
-        single, _ = fit_joint(Dataset(views=[X], Y=y), cfg)
-        multi, _ = fit_joint(Dataset(views=[X, X], Y=y), cfg)
+        single, _ = fit(Dataset(views=[X], Y=y), cfg)
+        multi, _ = fit(Dataset(views=[X, X], Y=y), cfg)
         assert all(np.array_equal(a, b) for a, b in zip(single.P, multi.P))
         assert np.array_equal(single.lam, multi.lam)
         assert np.array_equal(single.Q, multi.Q)
@@ -346,7 +396,7 @@ class TestFitJoint:
         ds = Dataset(views=[X1, X2], Y=y)
         cfg = TrainConfig(n_d=2, n_t=2, epochs=10, batch_size=100,
                           learning_rate=0.05, mode="joint", seed=4)
-        model, _ = fit_joint(ds, cfg)
+        model, _ = fit(ds, cfg)
         yhat = predict(model, [X1, X2])
         assert pearson(y, yhat[:, 0]) >= 0.99
 
@@ -356,7 +406,7 @@ class TestFitJoint:
                             rng.standard_normal((30, 2))], Y=np.ones(30))
         cfg = TrainConfig(n_d=3, n_t=1, mode="joint", epochs=1, batch_size=10)
         with pytest.raises(ValueError):
-            fit_joint(ds, cfg)
+            fit(ds, cfg)
 
 
 class TestFitLayered:
@@ -366,8 +416,8 @@ class TestFitLayered:
         y = rng.standard_normal(600)
         ds = Dataset(views=[X], Y=y)
         kw = dict(n_d=2, n_t=3, epochs=5, batch_size=64, learning_rate=0.05, seed=42)
-        mj, _ = fit_joint(ds, TrainConfig(mode="joint", **kw))
-        ml, _ = fit_layered(ds, TrainConfig(mode="layered", rank_blocks=[3], **kw))
+        mj, _ = fit(ds, TrainConfig(mode="joint", **kw))
+        ml, _ = fit(ds, TrainConfig(mode="layered", rank_blocks=[3], **kw))
         assert all(np.array_equal(a, b) for a, b in zip(mj.P, ml.P))
         assert np.array_equal(mj.lam, ml.lam)
         assert np.array_equal(mj.Q, ml.Q)
@@ -375,8 +425,8 @@ class TestFitLayered:
     def test_unit_blocks_match_rankwise_structure(self):
         ds = quadratics_dataset("xy", 1000, seed=3)
         kw = dict(n_d=2, n_t=2, epochs=10, batch_size=50, learning_rate=0.05, seed=2)
-        m_rank, rep_rank = fit_rankwise(ds, TrainConfig(mode="rank_wise", **kw))
-        m_layer, rep_layer = fit_layered(ds, TrainConfig(mode="layered", rank_blocks=[1, 1], **kw))
+        m_rank, rep_rank = fit(ds, TrainConfig(mode="rank_wise", **kw))
+        m_layer, rep_layer = fit(ds, TrainConfig(mode="layered", rank_blocks=[1, 1], **kw))
         # both run the same deflation loop on the same scalar subproblems: equal bits
         assert all(np.array_equal(a, b) for a, b in zip(m_rank.P, m_layer.P))
         assert np.array_equal(m_rank.lam, m_layer.lam)
@@ -394,7 +444,7 @@ class TestFitLayered:
         cfg = TrainConfig(n_d=3, n_t=6, epochs=8, batch_size=100,
                           learning_rate=0.05, mode="layered",
                           rank_blocks=[2, 2, 2], seed=5)
-        _, report = fit_layered(ds, cfg)
+        _, report = fit(ds, cfg)
         norms = report.residual_norms
         assert len(norms) == 4
         for a, b in zip(norms, norms[1:]):
@@ -416,7 +466,7 @@ class TestFitLayered:
         cfg = TrainConfig(n_d=2, n_t=4, epochs=10, batch_size=100,
                           learning_rate=0.05, mode="layered",
                           rank_blocks=[2, 2], seed=7)
-        model, report = fit_layered(ds, cfg)
+        model, report = fit(ds, cfg)
         assert model.n_y == 2
         assert len(report.eta_squared) == 2
         norms = report.residual_norms
@@ -461,10 +511,9 @@ class TestFitLogistic:
                      Y=(rng.random(50) < 0.5).astype(float))
         rank_wise = TrainConfig(n_d=2, n_t=1, mode="rank_wise", link="logistic")
         layered = TrainConfig(n_d=2, n_t=1, mode="layered", rank_blocks=[1], link="logistic")
-        for fitter, cfg in ((fit, rank_wise), (fit, layered),
-                            (fit_rankwise, rank_wise), (fit_layered, layered)):
+        for cfg in (rank_wise, layered):
             with pytest.raises(ValueError, match="logistic link requires mode='joint'"):
-                fitter(ds, cfg)
+                fit(ds, cfg)
 
 
 class TestTrainingInvariants:
