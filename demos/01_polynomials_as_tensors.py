@@ -24,7 +24,7 @@ print("f(2, 3) =", forward_scalar(model, [2.0, 3.0]))
 
 # the same polynomial as a dense 2x2 coefficient tensor
 T = materialize_tensor(model)
-print("coefficient tensor:\n", T.values)
+print("coefficient tensor:\n", T)
 print("contracted at (2, 3):", tensor_contract(T, [2.0, 3.0]))
 
 # x1^2 - x2^2 factors as (x1 - x2)(x1 + x2)
@@ -34,7 +34,7 @@ model2 = LtrModel(
     lam=[1.0],
 )
 print("\nx1^2 - x2^2 at (2, 1):", forward_scalar(model2, [2.0, 1.0]))
-print("its tensor:\n", materialize_tensor(model2).values)
+print("its tensor:\n", materialize_tensor(model2))
 
 # both evaluation routes agree on random models
 rng = np.random.default_rng(0)

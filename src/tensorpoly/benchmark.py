@@ -16,7 +16,7 @@ import numpy as np
 
 from . import baselines
 from .datagen import GeneratorSpec, generate_model, sample_dataset
-from .metrics import cross_validate
+from .metrics import _stderr, cross_validate
 from .model import integral, predict
 from .training import TrainConfig, fit
 
@@ -25,59 +25,45 @@ SWEEP_VARIABLES = ("degree", "rank", "noise", "variables", "sample-size")
 THREADS_ENV = "TENSORPOLY_THREADS"
 
 
-def ltr_learner(config, fit_seconds=None):
-    """Learner closure over a TrainConfig; optionally records fit times."""
+def _timed_learner(train_fn, predict_fn, fit_seconds):
+    """Learner closure around ``train_fn(train)`` and ``predict_fn(fitted, test)``.
+
+    Each fit's seconds are appended to ``fit_seconds`` unless it is None.
+    """
 
     def learn(train):
         t0 = time.perf_counter()
-        model, _ = fit(train, config)
+        fitted = train_fn(train)
         if fit_seconds is not None:
             fit_seconds.append(time.perf_counter() - t0)
-        return lambda test: predict(model, test.views)
+        return lambda test: predict_fn(fitted, test)
 
     return learn
+
+
+def ltr_learner(config, fit_seconds=None):
+    """Learner closure over a TrainConfig; optionally records fit times."""
+    return _timed_learner(lambda train: fit(train, config)[0],
+                          lambda model, test: predict(model, test.views), fit_seconds)
 
 
 def krr_learner(b=1.0, n_d=2, ridge=1e-8, fit_seconds=None):
-    def learn(train):
-        t0 = time.perf_counter()
-        model = baselines.krr_fit(train, b=b, n_d=n_d, ridge=ridge)
-        if fit_seconds is not None:
-            fit_seconds.append(time.perf_counter() - t0)
-        return lambda test: baselines.krr_predict(model, test.X)
-
-    return learn
+    return _timed_learner(lambda train: baselines.krr_fit(train, b=b, n_d=n_d, ridge=ridge),
+                          lambda model, test: baselines.krr_predict(model, test.X), fit_seconds)
 
 
 def linreg_learner(fit_seconds=None):
-    def learn(train):
-        t0 = time.perf_counter()
-        w = baselines.linreg_fit(train)
-        if fit_seconds is not None:
-            fit_seconds.append(time.perf_counter() - t0)
-        return lambda test: baselines.linreg_predict(w, test.X)
-
-    return learn
+    return _timed_learner(baselines.linreg_fit,
+                          lambda w, test: baselines.linreg_predict(w, test.X), fit_seconds)
 
 
 def fm_learner(n_d=2, n_t=2, steps=300, learning_rate=0.05, restarts=3, seed=0, fit_seconds=None):
-    def learn(train):
-        t0 = time.perf_counter()
-        P = baselines.fm_fit_gd(
-            train.X,
-            train.Y[:, 0],
-            n_d=n_d,
-            n_t=n_t,
-            steps=steps,
-            learning_rate=learning_rate,
-            restarts=restarts,
-            seed=seed,
-        )
-        if fit_seconds is not None:
-            fit_seconds.append(time.perf_counter() - t0)
-        return lambda test: baselines.fm_forward(test.X, P, n_d)
+    def train_fn(train):
+        return baselines.fm_fit_gd(train.X, train.Y[:, 0], n_d=n_d, n_t=n_t, steps=steps,
+                                   learning_rate=learning_rate, restarts=restarts, seed=seed)
 
-    return learn
+    return _timed_learner(train_fn, lambda P, test: baselines.fm_forward(test.X, P, n_d),
+                          fit_seconds)
 
 
 def _point_params(base, variable, value):
@@ -120,20 +106,13 @@ def _build_learner(name, params, cfg, fit_seconds):
         return fm_learner(
             n_d=params["degree"],
             n_t=params["rank"],
-            steps=int(fm_cfg.get("steps", 300)),
+            steps=fm_cfg.get("steps", 300),
             learning_rate=float(fm_cfg.get("learning_rate", 0.05)),
-            restarts=int(fm_cfg.get("restarts", 3)),
-            seed=int(fm_cfg.get("seed", 0)),
+            restarts=fm_cfg.get("restarts", 3),
+            seed=fm_cfg.get("seed", 0),
             fit_seconds=fit_seconds,
         )
     raise ValueError(f"unknown learner {name!r}")
-
-
-def _stderr(values):
-    v = np.asarray(values, dtype=float)
-    if v.size < 2:
-        return 0.0
-    return float(np.std(v, ddof=1) / np.sqrt(v.size))
 
 
 def _run_point(index, value, cfg):
@@ -152,7 +131,7 @@ def _run_point(index, value, cfg):
     )
     true_model = generate_model(spec)
     dataset = sample_dataset(true_model, spec.m, spec.noise_level, seed=data_seed)
-    folds = int(cfg.get("folds", 2))
+    folds = cfg.get("folds", 2)
     for name in cfg.get("learners", ["ltr", "lr"]):
         fit_seconds = []
         try:
@@ -198,6 +177,15 @@ def run_benchmark(cfg):
         params = _point_params(cfg["base"], variable, value)
         for key in ("n", "degree", "rank", "m"):
             integral(f"benchmark {key} at {variable}={value!r}", params[key])
+    fm = cfg.get("fm", {})
+    for name, value, low in (  # counts and seeds outside the sweep; none is truncated
+        ("base.seed", cfg["base"].get("seed", 0), 0),
+        ("folds", cfg.get("folds", 2), 2),
+        ("fm.steps", fm.get("steps", 300), 1),
+        ("fm.restarts", fm.get("restarts", 3), 1),
+        ("fm.seed", fm.get("seed", 0), 0),
+    ):
+        integral(f"benchmark {name}", value, low)
     workers = max(1, int(os.environ.get(THREADS_ENV, "1")))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

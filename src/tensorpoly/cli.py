@@ -169,7 +169,7 @@ def cmd_train(args):
     try:
         model, report = fit(dataset, config)
     except TrainingDivergedError as exc:
-        print(f"training diverged at epoch {exc.epoch}", file=sys.stderr)
+        print(f"training diverged at epoch {exc.epoch} in phase {exc.phase}", file=sys.stderr)
         return 1
     model_file = _out_path(args, "model.json")
     report_file = _out_path(args, "report.json")
@@ -268,7 +268,10 @@ def cmd_gradcheck(args):
     cfg = _load_config(args.config)
     grid = cfg.get("grid")
     if grid is not None:
-        grid = [(int(n_d), int(n_y), bool(mv)) for n_d, n_y, mv in grid]
+        if not isinstance(grid, list) or not all(isinstance(e, list) and len(e) == 3 for e in grid):
+            raise CliError("gradcheck grid must be a list of [n_d, n_y, multiview] entries")
+        grid = [(integral("grid n_d", n_d), integral("grid n_y", n_y), bool(mv))
+                for n_d, n_y, mv in grid]
     records = gradcheck_mod.run_suite(
         grid=grid, h=float(cfg.get("h", 1e-5)), corrupt=args.corrupt
     )

@@ -151,10 +151,6 @@ class Dataset:
             if not np.all(np.isfinite(A)):
                 raise ValueError(f"{name} contains non-finite values")
 
-    @classmethod
-    def from_arrays(cls, X, y):
-        return cls(views=[X], Y=y)
-
     @property
     def m(self):
         return self.Y.shape[0]
@@ -173,29 +169,6 @@ class Dataset:
     def take(self, idx):
         """Row-subset dataset; serves the cross-validation folds."""
         return Dataset(views=[V[idx] for V in self.views], Y=self.Y[idx])
-
-
-@dataclass
-class DenseTensor:
-    """Dense n-way coefficient array, the brute-force verification oracle."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.size > ORACLE_SIZE_CAP:
-            raise ValueError(
-                f"dense tensor with {self.values.size} entries exceeds the "
-                f"oracle cap of {ORACLE_SIZE_CAP}"
-            )
-
-    @property
-    def order(self):
-        return self.values.ndim
-
-    @property
-    def dims(self):
-        return self.values.shape
 
 
 def resolve_views(model, views):
@@ -321,10 +294,11 @@ def predict(model, views):
 
 
 def materialize_tensor(model):
-    """Expand the model into its dense coefficient tensor.
+    """Expand the model into its dense coefficient tensor, an ``n_d``-way ndarray.
 
-    Only meaningful for scalar-output models with a common input width,
-    and refused above the oracle size cap.
+    It is the brute-force verification oracle: only meaningful for
+    scalar-output models with a common input width, and refused above
+    the oracle size cap.
     """
     if model.n_y != 1:
         raise ValueError("materialize_tensor requires a scalar-output model")
@@ -339,13 +313,13 @@ def materialize_tensor(model):
         for Pd in model.P:
             term = np.multiply.outer(term, Pd[t])
         T += term
-    return DenseTensor(values=T)
+    return T
 
 
 def tensor_contract(T, x):
-    """Contract a dense tensor against the same vector on every axis."""
+    """Contract a dense tensor (array) against the same vector on every axis."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    val = T.values
+    val = np.asarray(T, dtype=float)
     if any(dim != x.shape[0] for dim in val.shape):
         raise ValueError(
             f"tensor dims {val.shape} incompatible with vector of length {x.shape[0]}"

@@ -1,16 +1,16 @@
 """Loss, analytic gradients, and mini-batch ADAM fitting.
 
-`fit` is the one entry point; every mode runs the same block fitter:
-initialize a block of rank-one terms, then run epochs of shuffled
-mini-batches with ADAM updates.
+`fit` is the one entry point and runs one loop over blocks of rank-one
+terms. Each block is initialized and trained by epochs of shuffled
+mini-batches with ADAM updates, against the residual the earlier blocks
+left; a block that raises the training sum of squares is zeroed out.
 
-* ``joint`` optimizes every term simultaneously on the matrix
+* ``joint`` is a single block of all ``n_t`` terms on the matrix
   objective; supports vector outputs and multi-view inputs. With
   ``link="logistic"`` it is the classifier on binary {0,1} labels.
-* ``layered`` fits blocks of terms jointly, deflating between blocks,
-  and records the correlation ratio of per-layer predictions.
-* ``rank_wise`` is the same deflation loop with one-term blocks
-  (scalar outputs only).
+* ``layered`` fits ``rank_blocks`` in turn and records the correlation
+  ratio of per-layer predictions.
+* ``rank_wise`` fits one-term blocks (scalar outputs only).
 """
 
 from __future__ import annotations
@@ -38,13 +38,12 @@ MODES = ("rank_wise", "joint", "layered")
 
 
 class TrainingDivergedError(RuntimeError):
-    """Loss became non-finite; carries the offending epoch (1-based)."""
+    """Loss became non-finite; carries the epoch and the phase (block), both 1-based."""
 
-    def __init__(self, epoch, phase=None):
+    def __init__(self, epoch, phase):
         self.epoch = epoch
         self.phase = phase
-        where = f" in phase {phase}" if phase is not None else ""
-        super().__init__(f"training loss became non-finite at epoch {epoch}{where}")
+        super().__init__(f"training loss became non-finite at epoch {epoch} in phase {phase}")
 
 
 @dataclass
@@ -122,9 +121,10 @@ class FitReport:
     ``loss_traces`` holds one per-epoch trace per phase (one phase for
     joint fits, one per rank or block otherwise). ``residual_norms``
     starts with the initial output norm and appends the training
-    residual norm after each completed rank/layer. ``eta_squared[b]`` is
-    the correlation ratio of per-layer training predictions over layers
-    1..b+1 (layered mode only).
+    residual norm after each block, so it never increases; it is empty
+    with the logistic link. ``eta_squared[b]`` is the correlation ratio
+    of per-layer training predictions over layers 1..b+1 (layered mode
+    only).
     """
 
     mode: str
@@ -264,11 +264,14 @@ def prepared_views(dataset, config):
     return views
 
 
-def _fit_block(views, Y, n_t, config, rng, link):
+@np.errstate(over="ignore", invalid="ignore")
+def _fit_block(views, Y, n_t, config, rng, phase):
     """Fit one block of ``n_t`` terms on (views, Y) by mini-batch ADAM.
 
     Returns ``(lam, P, Q, trace)``; Q stays all-ones and untrained for
-    scalar outputs.
+    scalar outputs. ``phase`` is the 1-based block index a divergence
+    reports. Overflow on the way to a diverged loss is not warned about:
+    the epoch-loss check raises `TrainingDivergedError` instead.
     """
     m, n_y = Y.shape
     if m == 0:
@@ -287,7 +290,7 @@ def _fit_block(views, Y, n_t, config, rng, link):
             idx = order[start:stop] if order is not None else slice(start, stop)
             bviews = [V[idx] for V in views]
             grads_b = _raw_gradients(
-                P, lam, Q, bviews, Y[idx], config.C_p, config.C_q, link
+                P, lam, Q, bviews, Y[idx], config.C_p, config.C_q, config.link
             )
             adam_step(
                 state,
@@ -299,46 +302,60 @@ def _fit_block(views, Y, n_t, config, rng, link):
                 eps=config.adam_eps,
                 update_q=train_q,
             )
-        L = _raw_loss(P, lam, Q, views, Y, config.C_p, config.C_q, link)
+        L = _raw_loss(P, lam, Q, views, Y, config.C_p, config.C_q, config.link)
         if not np.isfinite(L):
-            raise TrainingDivergedError(epoch)
+            raise TrainingDivergedError(epoch, phase)
         trace.append(L)
     return lam, P, Q, trace
 
 
-def _fit_deflated(dataset, config, blocks):
-    """Fit ``blocks`` of terms in turn, each against the residual the earlier ones left.
+def fit(dataset, config):
+    """Fit a model in the mode ``config.mode`` selects; returns ``(model, report)``.
 
-    A block that fails to reduce the training sum of squares is zeroed
-    out, so the residual-norm sequence never increases. Layered fits
-    also record the correlation ratio of the per-layer predictions.
+    Every mode is one loop over blocks of terms: ``joint`` is a single
+    block of all ``n_t`` terms, ``layered`` fits ``config.rank_blocks``
+    and ``rank_wise`` fits ``n_t`` one-term blocks (scalar outputs only).
+    With the identity link each block is fitted to the residual the
+    earlier ones left, and a block that fails to reduce the training sum
+    of squares is zeroed out, so the residual-norm sequence never
+    increases. The logistic link (joint mode, {0,1} labels) keeps no
+    residual. Layered fits also record the correlation ratio of the
+    per-layer predictions.
     """
-    if config.link != "identity":
+    if config.mode == "rank_wise" and dataset.n_y != 1:
+        raise ValueError("rank-wise mode handles scalar outputs only")
+    logistic = config.link == "logistic"
+    if logistic and config.mode != "joint":
         raise ValueError("logistic link requires mode='joint'")
+    if logistic and not np.all((dataset.Y == 0.0) | (dataset.Y == 1.0)):
+        raise ValueError("logistic fitting needs binary {0,1} labels")
+    blocks = {"joint": [config.n_t], "layered": config.rank_blocks,
+              "rank_wise": [1] * config.n_t}[config.mode]
     layered = config.mode == "layered"
     views = prepared_views(dataset, config)
     rng = np.random.default_rng(config.seed)
-    residual = dataset.Y.copy()
+    residual = dataset.Y
     report = FitReport(
         mode=config.mode,
-        residual_norms=[float(np.linalg.norm(residual))],
+        residual_norms=[] if logistic else [float(np.linalg.norm(residual))],
         eta_squared=[] if layered else None,
     )
     fitted, layer_preds = [], []
-    for block in blocks:
+    for phase, block in enumerate(blocks, 1):
         t0 = time.perf_counter()
-        lam_b, P_b, Q_b, trace = _fit_block(views, residual, block, config, rng, "identity")
-        _, _, pred = forward_terms(P_b, lam_b, Q_b, views)
-        new_residual = residual - pred
-        if np.sum(new_residual**2) > np.sum(residual**2):
-            # the block did not help on the training data; drop its weight
-            lam_b[:] = 0.0
-            pred = np.zeros_like(pred)
-            new_residual = residual
-        residual = new_residual
+        lam_b, P_b, Q_b, trace = _fit_block(views, residual, block, config, rng, phase)
+        if not logistic:
+            _, _, pred = forward_terms(P_b, lam_b, Q_b, views)
+            new_residual = residual - pred
+            if np.sum(new_residual**2) > np.sum(residual**2):
+                # the block did not help on the training data; drop its weight
+                lam_b[:] = 0.0
+                pred = np.zeros_like(pred)
+                new_residual = residual
+            residual = new_residual
+            report.residual_norms.append(float(np.linalg.norm(residual)))
         fitted.append((lam_b, P_b, Q_b))
         report.loss_traces.append(trace)
-        report.residual_norms.append(float(np.linalg.norm(residual)))
         if layered:
             layer_preds.append(pred.reshape(-1))
             report.eta_squared.append(correlation_ratio(np.vstack(layer_preds)))
@@ -349,55 +366,7 @@ def _fit_deflated(dataset, config, blocks):
         Q=np.vstack(Qs),
         lam=np.concatenate(lams),
         homogenized=config.homogenize,
-        link="identity",
+        link=config.link,
     )
     report.final_lambda = model.lam.copy()
     return model, report
-
-
-def _fit_joint(dataset, config):
-    """Optimize all ranks simultaneously on the matrix objective.
-
-    With ``config.link == "logistic"`` the labels must be binary {0,1}
-    and the report carries no residual norms.
-    """
-    logistic = config.link == "logistic"
-    if logistic and not np.all((dataset.Y == 0.0) | (dataset.Y == 1.0)):
-        raise ValueError("logistic fitting needs binary {0,1} labels")
-    views = prepared_views(dataset, config)
-    rng = np.random.default_rng(config.seed)
-    t0 = time.perf_counter()
-    lam, P, Q, trace = _fit_block(views, dataset.Y, config.n_t, config, rng, config.link)
-    seconds = time.perf_counter() - t0
-    model = LtrModel(
-        P=P, Q=Q, lam=lam, homogenized=config.homogenize, link=config.link
-    )
-    if logistic:
-        norms = []
-    else:
-        resid = dataset.Y - forward_terms(P, lam, Q, views)[2]
-        norms = [float(np.linalg.norm(dataset.Y)), float(np.linalg.norm(resid))]
-    report = FitReport(
-        mode="joint",
-        loss_traces=[trace],
-        residual_norms=norms,
-        seconds=[seconds],
-        final_lambda=model.lam.copy(),
-    )
-    return model, report
-
-
-def fit(dataset, config):
-    """Fit a model in the mode ``config.mode`` selects; returns ``(model, report)``.
-
-    ``joint`` trains all ``n_t`` terms at once; ``layered`` deflates
-    ``config.rank_blocks``; ``rank_wise`` deflates one term at a time and
-    needs scalar outputs.
-    """
-    if config.mode == "joint":
-        return _fit_joint(dataset, config)
-    if config.mode == "layered":
-        return _fit_deflated(dataset, config, config.rank_blocks)
-    if dataset.n_y != 1:
-        raise ValueError("rank-wise mode handles scalar outputs only")
-    return _fit_deflated(dataset, config, [1] * config.n_t)

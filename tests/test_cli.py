@@ -1,13 +1,17 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tensorpoly import Dataset, LtrModel, TrainConfig, fit, predict
+from tensorpoly import Dataset, LtrModel, TrainConfig, fit, predict, quadratics_dataset
 from tensorpoly.cli import main
 from tensorpoly.io import (
     load_model,
@@ -123,6 +127,21 @@ class TestTrain:
         r1 = json.load(open(out1 / "report.json"))
         r2 = json.load(open(out2 / "report.json"))
         assert len(r1["residual_norms"]) == len(r2["residual_norms"])
+
+    def test_divergence_exits_1_with_one_stderr_line(self, tmp_path):
+        # a fresh interpreter, so numpy's overflow warnings would reach stderr
+        ds = quadratics_dataset("xy", 200, seed=0)
+        write_dataset_csv(tmp_path / "d.csv", ds.X, ds.Y)
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tensorpoly", "train", "--data", str(tmp_path / "d.csv"),
+             "--lr", "1e100", "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr == "training diverged at epoch 1 in phase 1\n"
+        assert not (tmp_path / "out" / "model.json").exists()
 
     def test_missing_dataset_exits_2_without_partial_output(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", self.train_config())
@@ -474,6 +493,17 @@ EVALUATE_ARGS = ["evaluate", "--predictions", "{dir}/p.csv", "--truth", "{dir}/t
 NO_BASE = json.dumps({"sweep": {"variable": "degree", "values": [1]}})
 TRAIN_CFG_ARGS = TRAIN_ARGS + ["--config", "{dir}/cfg.json"]
 XY_CSV = "x1,x2,y\n1,2,2\n3,4,12\n"
+GRADCHECK_ARGS = ["gradcheck", "--config", "{dir}/cfg.json"]
+
+
+def one_point_sweep(name, value):
+    """JSON of a valid one-point benchmark config with ``name`` ("key" or "section.key") set."""
+    cfg = {"sweep": {"variable": "degree", "values": [1]},
+           "base": {"n": 3, "degree": 2, "rank": 2, "m": 50}}
+    *section, key = name.split(".")
+    (cfg.setdefault(section[0], {}) if section else cfg)[key] = value
+    return json.dumps(cfg)
+
 
 # (id, files to write, argv, regex searched in the one stderr line after "error: ");
 # the CSV patterns name only the path and the offending field, not numpy's wording
@@ -523,6 +553,15 @@ REJECTED = [
        BENCH_ARGS, rf"benchmark {key} at {variable}=2\.5 must be an integer >= 1, got 2\.5")
       for variable, key in (("degree", "degree"), ("rank", "rank"), ("variables", "n"),
                             ("sample-size", "m"))],
+    *[(f"benchmark-{name}-fraction", {"cfg.json": one_point_sweep(name, value)}, BENCH_ARGS,
+       rf"^error: benchmark {name} must be an integer >= {low}, got {re.escape(repr(value))}$")
+      for name, value, low in (("base.seed", 1.9, 0), ("folds", 2.9, 2), ("fm.steps", 2.5, 1),
+                               ("fm.restarts", 1.5, 1), ("fm.seed", 0.5, 0))],
+    ("gradcheck-grid-fraction", {"cfg.json": '{"grid": [[2.7, 1.9, 0]]}'}, GRADCHECK_ARGS,
+     r"^error: grid n_d must be an integer >= 1, got 2\.7$"),
+    *[(f"gradcheck-grid-{case}", {"cfg.json": json.dumps({"grid": grid})}, GRADCHECK_ARGS,
+       r"^error: gradcheck grid must be a list of \[n_d, n_y, multiview\] entries$")
+      for case, grid in (("number", 5), ("number-entry", [5]), ("short-entry", [[2, 1]]))],
     ("benchmark-base-fraction",
      {"cfg.json": json.dumps({"sweep": {"variable": "noise", "values": [0.0]},
                               "base": {"n": 3.5, "degree": 2, "rank": 2, "m": 50}})},

@@ -302,6 +302,7 @@ class TestFitRankOne:
             with pytest.raises(TrainingDivergedError) as err:
                 fit(ds, cfg)
         assert 1 <= err.value.epoch <= 5
+        assert err.value.phase == 1
 
 
 class TestFitRankwise:
@@ -329,15 +330,22 @@ class TestFitRankwise:
         res = cross_validate(ds, ltr_learner(cfg), folds=2, seed=11)
         assert res.mean_pearson >= 0.99
 
-    def test_residual_norms_non_increasing(self):
-        ds = quadratics_dataset("xy", 600, seed=3)
-        cfg = TrainConfig(n_d=2, n_t=4, epochs=6, batch_size=50,
-                          learning_rate=0.05, mode="rank_wise", seed=2)
-        _, report = fit(ds, cfg)
+    @pytest.mark.parametrize("m,kw,phases,dropped", [
+        (600, dict(mode="rank_wise", n_t=4, seed=2), 4, False),
+        (600, dict(mode="layered", n_t=4, rank_blocks=[2, 1, 1], seed=2), 3, False),
+        (600, dict(mode="joint", n_t=4, seed=2), 1, False),
+        # lr 5.0 leaves the joint block worse than the all-zero model: it is zeroed
+        (800, dict(mode="joint", n_t=2, epochs=3, learning_rate=5.0), 1, True),
+    ], ids=["rank_wise", "layered", "joint", "joint-worse-than-zero"])
+    def test_residual_norms_non_increasing(self, m, kw, phases, dropped):
+        ds = quadratics_dataset("xy", m, seed=3)
+        cfg = TrainConfig(**{"n_d": 2, "epochs": 6, "batch_size": 50, "learning_rate": 0.05, **kw})
+        model, report = fit(ds, cfg)
         norms = report.residual_norms
-        assert len(norms) == 5
+        assert len(norms) == phases + 1
         for a, b in zip(norms, norms[1:]):
             assert b <= a + 1e-8
+        assert np.all(model.lam == 0.0) == dropped
 
     def test_mode_and_output_preconditions(self):
         # vector outputs need a mode that trains Q; rank-wise rejects them
