@@ -132,30 +132,25 @@ def _read_training_data(args, cfg):
     view_paths = args.views or data_cfg.get("views")
     labels_path = args.labels or data_cfg.get("labels")
     if data_path:
-        X, Y = _read_csv_checked(data_path)
-        if X is None or Y is None:
-            raise CliError(f"{data_path}: need both x* and y* columns for training")
+        X, Y = _read_csv_checked(data_path, "xy")
         return Dataset(views=[X], Y=Y)
     if view_paths:
         if not labels_path:
             raise CliError("multi-view training needs --labels with the shared outputs")
-        views = []
-        for p in view_paths:
-            X, _ = _read_csv_checked(p)
-            if X is None:
-                raise CliError(f"{p}: view file has no x* columns")
-            views.append(X)
-        _, Y = _read_csv_checked(labels_path)
-        if Y is None:
-            raise CliError(f"{labels_path}: labels file has no y* columns")
-        return Dataset(views=views, Y=Y)
+        views = [_read_csv_checked(p, "x")[0] for p in view_paths]
+        return Dataset(views=views, Y=_read_csv_checked(labels_path, "y")[1])
     raise CliError("no training data: pass --data or --views/--labels (or set them in the config)")
 
 
-def _read_csv_checked(path):
+def _read_csv_checked(path, need):
+    """``(X, Y)`` of the CSV at ``path``; each column group in ``need`` ("x", "y") must be present."""
     if not os.path.exists(path):
         raise CliError(f"dataset file not found: {path}")
-    return tio.read_dataset_csv(path)
+    X, Y = tio.read_dataset_csv(path)
+    for group, A in zip("xy", (X, Y)):
+        if group in need and A is None:
+            raise CliError(f"{path}: no {group}* columns")
+    return X, Y
 
 
 def cmd_train(args):
@@ -184,14 +179,11 @@ def cmd_predict(args):
         raise CliError(f"model file not found: {args.model}")
     model = tio.load_model(args.model)
     if args.views:
-        views = [_read_csv_checked(p)[0] for p in args.views]
+        views = [_read_csv_checked(p, "x")[0] for p in args.views]
+    elif args.input:
+        views = [_read_csv_checked(args.input, "x")[0]]
     else:
-        if not args.input:
-            raise CliError("predict needs --input or --views")
-        X, _ = _read_csv_checked(args.input)
-        if X is None:
-            raise CliError(f"{args.input}: no x* columns")
-        views = [X]
+        raise CliError("predict needs --input or --views")
     if views[0].shape[0] == 0:
         yhat = np.zeros((0, model.n_y))
     else:
@@ -206,16 +198,10 @@ def cmd_predict(args):
 
 
 def cmd_evaluate(args):
-    _, yhat = _read_csv_checked(args.predictions)
-    if yhat is None:
-        raise CliError(f"{args.predictions}: no y* columns")
-    _, ytrue = _read_csv_checked(args.truth)
-    if ytrue is None:
-        raise CliError(f"{args.truth}: no y* columns")
-    if yhat.shape[0] != ytrue.shape[0]:
-        raise CliError(
-            f"row mismatch: predictions have {yhat.shape[0]}, truth has {ytrue.shape[0]}"
-        )
+    yhat = _read_csv_checked(args.predictions, "y")[1]
+    ytrue = _read_csv_checked(args.truth, "y")[1]
+    if yhat.shape != ytrue.shape:
+        raise CliError(f"shape mismatch: predictions are {yhat.shape}, truth is {ytrue.shape}")
     if args.task == "regression":
         cols_p = [pearson(ytrue[:, j], yhat[:, j]) for j in range(ytrue.shape[1])]
         cols_r = [rmse(ytrue[:, j], yhat[:, j]) for j in range(ytrue.shape[1])]
@@ -228,7 +214,10 @@ def cmd_evaluate(args):
             ),
         }
     else:  # multilabel
-        pred_bin = top_k_binarize(yhat, args.topk) if args.topk else (yhat >= 0.5).astype(int)
+        if args.topk is None:
+            pred_bin = (yhat >= 0.5).astype(int)
+        else:
+            pred_bin = top_k_binarize(yhat, integral("--topk", args.topk, 1))
         metrics = {"micro_f1": f1_multilabel(ytrue.astype(int), pred_bin)}
     out_file = _out_path(args, "metrics.json")
     tio.write_json(out_file, metrics)

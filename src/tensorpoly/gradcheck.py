@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .model import Dataset, LtrModel
@@ -13,35 +15,32 @@ ERROR_FLOOR = 1e-3
 TOLERANCE = 1e-5
 
 
+def central_difference(objective, arr, h):
+    """``(f(+h) - f(-h)) / 2h`` per entry of ``arr``; ``objective()`` reads ``arr``,
+    which is perturbed in place and restored."""
+    g = np.zeros_like(arr)
+    for idx in np.ndindex(arr.shape):
+        old = arr[idx]
+        arr[idx] = old + h
+        up = objective()
+        arr[idx] = old - h
+        down = objective()
+        arr[idx] = old
+        g[idx] = (up - down) / (2.0 * h)
+    return g
+
+
 def numeric_gradients(model, dataset, config, h=1e-5):
     """Central finite differences of `loss` w.r.t. every parameter entry."""
-
-    def fd(arr):
-        g = np.zeros_like(arr)
-        it = np.nditer(arr, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            old = arr[idx]
-            arr[idx] = old + h
-            up = loss(model, dataset, config)
-            arr[idx] = old - h
-            down = loss(model, dataset, config)
-            arr[idx] = old
-            g[idx] = (up - down) / (2.0 * h)
-            it.iternext()
-        return g
-
-    g_lam = fd(model.lam)
-    g_P = [fd(Pd) for Pd in model.P]
-    g_Q = fd(model.Q)
+    objective = functools.partial(loss, model, dataset, config)
+    g_lam = central_difference(objective, model.lam, h)
+    g_P = [central_difference(objective, Pd, h) for Pd in model.P]
+    g_Q = central_difference(objective, model.Q, h)
     return g_lam, g_P, g_Q
 
 
 def max_relative_error(analytic, numeric):
-    a = np.asarray(analytic, dtype=float)
-    f = np.asarray(numeric, dtype=float)
-    scale = np.maximum(np.maximum(np.abs(a), np.abs(f)), ERROR_FLOOR)
-    return float(np.max(np.abs(a - f) / scale)) if a.size else 0.0
+    return _worst_entry(analytic, numeric)[0]
 
 
 def _worst_entry(analytic, numeric):

@@ -108,21 +108,8 @@ def correlation_ratio(layer_outputs):
     return float(between / total)
 
 
-@dataclass
-class CvPlan:
-    """Seeded fold assignment; folds partition the rows, sizes differ by <= 1."""
-
-    folds: int
-    assignment: np.ndarray
-
-    def test_indices(self, fold):
-        return np.flatnonzero(self.assignment == fold)
-
-    def train_indices(self, fold):
-        return np.flatnonzero(self.assignment != fold)
-
-
 def make_cv_plan(m, folds, seed=0):
+    """Seeded fold index of each row; folds partition the rows, sizes differ by <= 1."""
     if folds < 2:
         raise ValueError("need at least 2 folds")
     if m < folds:
@@ -130,7 +117,7 @@ def make_cv_plan(m, folds, seed=0):
     rng = np.random.default_rng(seed)
     assignment = np.empty(m, dtype=int)
     assignment[rng.permutation(m)] = np.arange(m) % folds
-    return CvPlan(folds=folds, assignment=assignment)
+    return assignment
 
 
 @dataclass
@@ -141,16 +128,6 @@ class CvResult:
     stderr_pearson: float
     mean_rmse: float
     stderr_rmse: float
-
-    def to_dict(self):
-        return {
-            "fold_pearson": [float(v) for v in self.fold_pearson],
-            "fold_rmse": [float(v) for v in self.fold_rmse],
-            "mean_pearson": float(self.mean_pearson),
-            "stderr_pearson": float(self.stderr_pearson),
-            "mean_rmse": float(self.mean_rmse),
-            "stderr_rmse": float(self.stderr_rmse),
-        }
 
 
 def _stderr(values):
@@ -168,11 +145,11 @@ def cross_validate(dataset, learner, folds, seed=0):
     RMSE are averaged over output columns within each fold; learner
     failures are re-raised annotated with the fold index.
     """
-    plan = make_cv_plan(dataset.m, folds, seed)
+    assignment = make_cv_plan(dataset.m, folds, seed)
     fold_p, fold_r = [], []
     for f in range(folds):
-        train = dataset.take(plan.train_indices(f))
-        test = dataset.take(plan.test_indices(f))
+        train = dataset.take(np.flatnonzero(assignment != f))
+        test = dataset.take(np.flatnonzero(assignment == f))
         try:
             predictor = learner(train)
             yhat = np.asarray(predictor(test), dtype=float)

@@ -171,28 +171,25 @@ class Dataset:
         return Dataset(views=[V[idx] for V in self.views], Y=self.Y[idx])
 
 
-def resolve_views(model, views):
+def resolve_views(views, n_d, dims=None):
     """Normalize ``views`` to one matrix per factor.
 
     Accepts a bare matrix, a 1-element list (shared across factors), or a
-    list of exactly ``n_d`` matrices. Column counts must match each
-    ``P[d]`` exactly; homogenization is the caller's job (see `predict`).
+    list of exactly ``n_d`` matrices. With ``dims``, column counts must
+    match the factor widths exactly; homogenization is the caller's job
+    (see `predict` and `fit`).
     """
     if isinstance(views, np.ndarray):
         views = [views]
     if len(views) == 1:
-        views = [views[0]] * model.n_d
-    elif len(views) != model.n_d:
-        raise ValueError(
-            f"expected 1 or {model.n_d} views, got {len(views)}"
-        )
+        views = [views[0]] * n_d
+    elif len(views) != n_d:
+        raise ValueError(f"expected 1 or {n_d} views, got {len(views)}")
     out = []
-    for d, (V, Pd) in enumerate(zip(views, model.P)):
+    for d, V in enumerate(views):
         V = _as_float_matrix(V, f"views[{d}]")
-        if V.shape[1] != Pd.shape[1]:
-            raise ValueError(
-                f"view {d} has {V.shape[1]} columns, factor expects {Pd.shape[1]}"
-            )
+        if dims is not None and V.shape[1] != dims[d]:
+            raise ValueError(f"view {d} has {V.shape[1]} columns, factor expects {dims[d]}")
         out.append(V)
     return out
 
@@ -256,7 +253,8 @@ def forward_batch(model, views):
     Returns ``(F, Yhat)`` where ``F`` is the (m, n_t) matrix of per-term
     factor products and ``Yhat = F @ diag(lam) @ Q`` is (m, n_y).
     """
-    _, F, Yhat = forward_terms(model.P, model.lam, model.Q, resolve_views(model, views))
+    views = resolve_views(views, model.n_d, model.dims)
+    _, F, Yhat = forward_terms(model.P, model.lam, model.Q, views)
     return F, Yhat
 
 
@@ -279,14 +277,9 @@ def predict(model, views):
     """
     if isinstance(views, np.ndarray):
         views = [views]
-    if model.homogenized:
-        fixed = []
-        for V, width in zip(views, model.dims if len(views) > 1 else [model.dims[0]]):
-            V = _as_float_matrix(V)
-            if V.shape[1] == width - 1:
-                V = homogenize(V)
-            fixed.append(V)
-        views = fixed
+    if model.homogenized and len(views) <= model.n_d:  # resolve_views rejects surplus views
+        views = [homogenize(V) if _as_float_matrix(V).shape[1] == width - 1 else V
+                 for V, width in zip(views, model.dims)]
     _, raw = forward_batch(model, views)
     if model.link == "logistic":
         return sigmoid(raw)

@@ -208,7 +208,7 @@ def _model_inputs(model, data):
     """``(P, lam, Q, views, Y)`` of a model on a non-empty dataset with matching shapes."""
     if data.m == 0:
         raise ValueError("empty dataset")
-    views = resolve_views(model, data.views)
+    views = resolve_views(data.views, model.n_d, model.dims)
     if data.n_y != model.n_y:
         raise ValueError(f"Y has {data.n_y} columns, model expects {model.n_y}")
     return model.P, model.lam, model.Q, views, data.Y
@@ -248,20 +248,6 @@ def adam_step(
         theta -= step[start:start + theta.size].reshape(theta.shape)
         start += theta.size
     return params, state
-
-
-def prepared_views(dataset, config):
-    """Views as the fit consumes them: count-checked and homogenized on demand."""
-    views = dataset.views
-    if len(views) not in (1, config.n_d):
-        raise ValueError(
-            f"dataset must supply 1 or n_d={config.n_d} views, got {len(views)}"
-        )
-    if config.homogenize:
-        views = [homogenize(V) for V in views]
-    if len(views) == 1:
-        views = [views[0]] * config.n_d
-    return views
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -332,7 +318,10 @@ def fit(dataset, config):
     blocks = {"joint": [config.n_t], "layered": config.rank_blocks,
               "rank_wise": [1] * config.n_t}[config.mode]
     layered = config.mode == "layered"
-    views = prepared_views(dataset, config)
+    views = dataset.views
+    if config.homogenize:
+        views = [homogenize(V) for V in views]
+    views = resolve_views(views, config.n_d)
     rng = np.random.default_rng(config.seed)
     residual = dataset.Y
     report = FitReport(

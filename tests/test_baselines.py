@@ -1,9 +1,10 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
-from tensorpoly import Dataset, pearson, quadratics_dataset
+from tensorpoly import Dataset, generate_model, pearson, quadratics_dataset, sample_dataset
 from tensorpoly.baselines import (
     KRR_SIZE_CAP,
     anova_terms,
@@ -15,7 +16,9 @@ from tensorpoly.baselines import (
     linreg_predict,
     poly_kernel,
 )
-from tensorpoly.metrics import rmse
+from tensorpoly.benchmark import _point_seeds
+from tensorpoly.datagen import GeneratorSpec
+from tensorpoly.metrics import make_cv_plan, rmse
 
 
 class TestPolyKernel:
@@ -188,3 +191,15 @@ class TestFmGradientDescent:
             results[fn] = pearson(ds.Y[200:, 0], fm_forward(ds.X[200:], P, 2))
         assert results["xy"] >= 0.95
         assert abs(results["diff_sq"]) <= 0.3
+
+    def test_divergence_raises_without_numpy_warnings(self):
+        # fold 0 of the degree-3 point of a seed-16838 degree sweep (n=6, rank 3, m=4000):
+        # every restart overflows, which the MSE check turns into one RuntimeError
+        model_seed, data_seed, fold_seed = _point_seeds(16838, 2)
+        spec = GeneratorSpec(n=6, n_d=3, n_t=3, m=4000, seed=model_seed)
+        ds = sample_dataset(generate_model(spec), 4000, 0.0, seed=data_seed)
+        train = ds.take(np.flatnonzero(make_cv_plan(4000, 2, fold_seed) != 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match="diverged"):
+                fm_fit_gd(train.X, train.Y[:, 0], n_d=3, n_t=3, steps=10, restarts=1)

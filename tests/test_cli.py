@@ -562,6 +562,17 @@ REJECTED = [
     *[(f"gradcheck-grid-{case}", {"cfg.json": json.dumps({"grid": grid})}, GRADCHECK_ARGS,
        r"^error: gradcheck grid must be a list of \[n_d, n_y, multiview\] entries$")
       for case, grid in (("number", 5), ("number-entry", [5]), ("short-entry", [[2, 1]]))],
+    ("predict-view-without-x", {"model.json": xy_model_json(), "v.csv": "y\n1\n"},
+     ["predict", "--model", "{dir}/model.json", "--views", "{dir}/v.csv", "--out", "{dir}/out"],
+     r"^error: \S*v\.csv: no x\* columns$"),
+    *[(f"evaluate-{case}", {"p.csv": pred, "t.csv": truth}, EVALUATE_ARGS,
+       rf"^error: shape mismatch: predictions are {re.escape(ps)}, truth is {re.escape(ts)}$")
+      for case, pred, ps, truth, ts in (
+          ("fewer-columns", "y\n1\n2\n3\n", "(3, 1)", "y1,y2\n1,2\n3,4\n5,6\n", "(3, 2)"),
+          ("more-columns", "y1,y2\n1,2\n3,4\n5,6\n", "(3, 2)", "y\n1\n2\n3\n", "(3, 1)"))],
+    *[(f"evaluate-topk{k}", {"p.csv": "y1,y2\n0.9,0.1\n0.2,0.8\n", "t.csv": "y1,y2\n1,0\n0,1\n"},
+       EVALUATE_ARGS + ["--task", "multilabel", "--topk", k],
+       rf"^error: --topk must be an integer >= 1, got {k}$") for k in ("0", "-1")],
     ("benchmark-base-fraction",
      {"cfg.json": json.dumps({"sweep": {"variable": "noise", "values": [0.0]},
                               "base": {"n": 3.5, "degree": 2, "rank": 2, "m": 50}})},

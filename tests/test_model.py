@@ -51,6 +51,12 @@ class TestHomogenize:
         assert model.homogenized
         assert rmse(ds.Y[:, 0], predict(model, x)[:, 0]) < 1e-3
 
+    def test_surplus_view_rejected(self):
+        model = LtrModel(P=[np.ones((1, 3)), np.ones((1, 2))], Q=np.ones((1, 1)), lam=[1.0],
+                         homogenized=True)
+        with pytest.raises(ValueError, match="expected 1 or 2 views, got 3"):
+            predict(model, [np.ones((4, 2)), np.ones((4, 1)), np.ones((4, 5))])
+
 
 class TestForwardScalar:
     def test_unit_factors_give_product(self):

@@ -1,10 +1,12 @@
 """The benchmark under ``perfbench/`` still runs correctly on this checkout.
 
 perfbench calls tensorpoly functions by name and counts some of them
-(``training.adam_step`` once per mini-batch), so a refactor that renames
-or bypasses one breaks the benchmark without failing any unit test. One
-tiny traced run also probes the cli, io, metrics, baselines and
-benchmark modules through their tiny workloads.
+(``training.adam_step`` once per mini-batch, ``baselines.fm_forward``
+once per FM forward pass), so a refactor that renames or bypasses one
+breaks the benchmark without failing any unit test. Each tiny traced run
+also probes the cli, io, metrics, baselines and benchmark modules through
+their tiny workloads; the sweep-degree run goes through the sweep runner,
+cross-validation and every baseline itself.
 """
 
 import json
@@ -12,12 +14,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_tiny_traced_run_is_correct():
+@pytest.mark.parametrize("workload", ["fit-joint-reference", "sweep-degree"])
+def test_tiny_traced_run_is_correct(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "fit-joint-reference",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--size", "tiny", "--seed", "1", "--seconds", "1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )

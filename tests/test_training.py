@@ -382,12 +382,13 @@ class TestFitJoint:
         for j in range(3):
             assert pearson(Y[:, j], yhat[:, j]) >= 0.95
 
-    def test_equal_views_reproduce_single_view_exactly(self):
+    @pytest.mark.parametrize("homogenize", [False, True])
+    def test_equal_views_reproduce_single_view_exactly(self, homogenize):
         rng = np.random.default_rng(21)
         X = rng.standard_normal((400, 3))
         y = rng.standard_normal(400)
-        cfg = TrainConfig(n_d=2, n_t=2, epochs=5, batch_size=64,
-                          learning_rate=0.05, mode="joint", seed=42)
+        cfg = TrainConfig(n_d=2, n_t=2, epochs=5, batch_size=64, learning_rate=0.05,
+                          mode="joint", seed=42, homogenize=homogenize)
         single, _ = fit(Dataset(views=[X], Y=y), cfg)
         multi, _ = fit(Dataset(views=[X, X], Y=y), cfg)
         assert all(np.array_equal(a, b) for a, b in zip(single.P, multi.P))
@@ -413,7 +414,7 @@ class TestFitJoint:
         ds = Dataset(views=[rng.standard_normal((30, 2)),
                             rng.standard_normal((30, 2))], Y=np.ones(30))
         cfg = TrainConfig(n_d=3, n_t=1, mode="joint", epochs=1, batch_size=10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="expected 1 or 3 views, got 2"):
             fit(ds, cfg)
 
 
