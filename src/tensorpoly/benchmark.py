@@ -20,7 +20,12 @@ from .metrics import _stderr, cross_validate
 from .model import integral, predict
 from .training import TrainConfig, fit
 
-SWEEP_VARIABLES = ("degree", "rank", "noise", "variables", "sample-size")
+# sweep variable -> the base key it sets; "sample_size" is an alias of "sample-size"
+SWEEP_KEYS = {"degree": "degree", "rank": "rank", "noise": "noise", "variables": "n",
+              "sample-size": "m", "sample_size": "m"}
+
+LEARNERS = ("ltr", "lr", "krr", "fm")
+DEFAULT_LEARNERS = ("ltr", "lr")
 
 THREADS_ENV = "TENSORPOLY_THREADS"
 
@@ -67,17 +72,7 @@ def fm_learner(n_d=2, n_t=2, steps=300, learning_rate=0.05, restarts=3, seed=0, 
 
 
 def _point_params(base, variable, value):
-    p = dict(base)
-    key = {
-        "degree": "degree",
-        "rank": "rank",
-        "noise": "noise",
-        "variables": "n",
-        "sample-size": "m",
-        "sample_size": "m",
-    }[variable]
-    p[key] = value
-    return p
+    return base | {SWEEP_KEYS[variable]: value}
 
 
 def _point_seeds(seed, index):
@@ -86,10 +81,8 @@ def _point_seeds(seed, index):
 
 
 def _build_learner(name, params, cfg, fit_seconds):
-    train_cfg = dict(cfg.get("train", {}))
-    train_cfg["n_d"] = params["degree"]
-    train_cfg["n_t"] = params["rank"]
     if name == "ltr":
+        train_cfg = cfg.get("train", {}) | {"n_d": params["degree"], "n_t": params["rank"]}
         return ltr_learner(TrainConfig(**train_cfg), fit_seconds)
     if name == "lr":
         return linreg_learner(fit_seconds)
@@ -101,18 +94,16 @@ def _build_learner(name, params, cfg, fit_seconds):
             ridge=float(krr_cfg.get("ridge", 1e-8)),
             fit_seconds=fit_seconds,
         )
-    if name == "fm":
-        fm_cfg = cfg.get("fm", {})
-        return fm_learner(
-            n_d=params["degree"],
-            n_t=params["rank"],
-            steps=fm_cfg.get("steps", 300),
-            learning_rate=float(fm_cfg.get("learning_rate", 0.05)),
-            restarts=fm_cfg.get("restarts", 3),
-            seed=fm_cfg.get("seed", 0),
-            fit_seconds=fit_seconds,
-        )
-    raise ValueError(f"unknown learner {name!r}")
+    fm_cfg = cfg.get("fm", {})  # the last of LEARNERS, which run_benchmark checked
+    return fm_learner(
+        n_d=params["degree"],
+        n_t=params["rank"],
+        steps=fm_cfg.get("steps", 300),
+        learning_rate=float(fm_cfg.get("learning_rate", 0.05)),
+        restarts=fm_cfg.get("restarts", 3),
+        seed=fm_cfg.get("seed", 0),
+        fit_seconds=fit_seconds,
+    )
 
 
 def _run_point(index, value, cfg):
@@ -132,27 +123,19 @@ def _run_point(index, value, cfg):
     true_model = generate_model(spec)
     dataset = sample_dataset(true_model, spec.m, spec.noise_level, seed=data_seed)
     folds = cfg.get("folds", 2)
-    for name in cfg.get("learners", ["ltr", "lr"]):
+    for name in cfg.get("learners", DEFAULT_LEARNERS):
         fit_seconds = []
         try:
             learner = _build_learner(name, params, cfg, fit_seconds)
             result = cross_validate(dataset, learner, folds, seed=fold_seed)
-            rows.append((name, variable, value, "pearson", result.mean_pearson, result.stderr_pearson, "ok"))
-            rows.append((name, variable, value, "rmse", result.mean_rmse, result.stderr_rmse, "ok"))
-            rows.append(
-                (
-                    name,
-                    variable,
-                    value,
-                    "train_seconds",
-                    float(np.mean(fit_seconds)) if fit_seconds else float("nan"),
-                    _stderr(fit_seconds),
-                    "ok",
-                )
-            )
+            stats = [(result.mean_pearson, result.stderr_pearson),
+                     (result.mean_rmse, result.stderr_rmse),
+                     (float(np.mean(fit_seconds)), _stderr(fit_seconds))]
+            status = "ok"
         except Exception as exc:  # keep sweeping, record the failure in-row
-            for metric in ("pearson", "rmse", "train_seconds"):
-                rows.append((name, variable, value, metric, float("nan"), float("nan"), f"failed: {exc}"))
+            stats, status = [(float("nan"), float("nan"))] * 3, f"failed: {exc}"
+        rows += [(name, variable, value, metric, mean, stderr, status)
+                 for metric, (mean, stderr) in zip(("pearson", "rmse", "train_seconds"), stats)]
     return rows
 
 
@@ -165,14 +148,22 @@ def run_benchmark(cfg):
     if not sweep or "variable" not in sweep or "values" not in sweep:
         raise ValueError("benchmark config needs sweep.variable and sweep.values")
     variable = sweep["variable"]
-    if variable not in SWEEP_VARIABLES and variable != "sample_size":
-        raise ValueError(f"sweep variable must be one of {SWEEP_VARIABLES}")
+    if not isinstance(variable, str) or variable not in SWEEP_KEYS:
+        raise ValueError(f"sweep variable must be one of {tuple(SWEEP_KEYS)}")
     if not isinstance(cfg.get("base"), dict):
         raise ValueError("benchmark config needs a base section")
     missing = {"n", "degree", "rank", "m"} - set(_point_params(cfg["base"], variable, None))
     if missing:
         raise ValueError(f"benchmark base section is missing {sorted(missing)}")
-    values = list(sweep["values"])
+    values = sweep["values"]
+    if not isinstance(values, (list, tuple)) or not values:
+        raise ValueError(f"benchmark sweep.values must be a non-empty list, got {values!r}")
+    values = list(values)
+    learners = cfg.get("learners", DEFAULT_LEARNERS)
+    if not isinstance(learners, (list, tuple)) or not learners or not all(
+            name in LEARNERS for name in learners):
+        raise ValueError(f"benchmark learners must be a non-empty list of names from "
+                         f"{LEARNERS}, got {learners!r}")
     for value in values:  # every point's sizes are counts; none is truncated
         params = _point_params(cfg["base"], variable, value)
         for key in ("n", "degree", "rank", "m"):
@@ -187,11 +178,8 @@ def run_benchmark(cfg):
     ):
         integral(f"benchmark {name}", value, low)
     workers = max(1, int(os.environ.get(THREADS_ENV, "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_point = list(pool.map(lambda iv: _run_point(iv[0], iv[1], cfg), enumerate(values)))
-    else:
-        per_point = [_run_point(i, v, cfg) for i, v in enumerate(values)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        per_point = list(pool.map(lambda iv: _run_point(*iv, cfg), enumerate(values)))
     rows = [row for point in per_point for row in point]
 
     series = {}

@@ -14,13 +14,11 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import gradcheck as gradcheck_mod
 from . import io as tio
 from .benchmark import run_benchmark
 from .datagen import GeneratorSpec, generate_model, sample_dataset, quadratics_dataset, QUADRATIC_FUNCTIONS
-from .metrics import accuracy, f1_multilabel, pearson, rmse, top_k_binarize
+from .metrics import accuracy, column_scores, f1_multilabel, top_k_binarize
 from .model import Dataset, integral, predict
 from .training import TrainConfig, TrainingDivergedError, fit
 
@@ -169,7 +167,7 @@ def cmd_train(args):
     model_file = _out_path(args, "model.json")
     report_file = _out_path(args, "report.json")
     tio.save_model(model_file, model)
-    tio.write_json(report_file, report.to_dict())
+    tio.write_json(report_file, vars(report))
     print(f"wrote {model_file} and {report_file}")
     return 0
 
@@ -184,13 +182,10 @@ def cmd_predict(args):
         views = [_read_csv_checked(args.input, "x")[0]]
     else:
         raise CliError("predict needs --input or --views")
-    if views[0].shape[0] == 0:
-        yhat = np.zeros((0, model.n_y))
-    else:
-        try:
-            yhat = predict(model, views)
-        except ValueError as exc:
-            raise CliError(f"prediction input mismatch: {exc}")
+    try:
+        yhat = predict(model, views)
+    except ValueError as exc:
+        raise CliError(f"prediction input mismatch: {exc}")
     out_file = _out_path(args, "predictions.csv")
     tio.write_predictions_csv(out_file, yhat)
     print(f"wrote {out_file} ({yhat.shape[0]} rows)")
@@ -203,9 +198,7 @@ def cmd_evaluate(args):
     if yhat.shape != ytrue.shape:
         raise CliError(f"shape mismatch: predictions are {yhat.shape}, truth is {ytrue.shape}")
     if args.task == "regression":
-        cols_p = [pearson(ytrue[:, j], yhat[:, j]) for j in range(ytrue.shape[1])]
-        cols_r = [rmse(ytrue[:, j], yhat[:, j]) for j in range(ytrue.shape[1])]
-        metrics = {"pearson": float(np.mean(cols_p)), "rmse": float(np.mean(cols_r))}
+        metrics = dict(zip(("pearson", "rmse"), column_scores(ytrue, yhat)))
     elif args.task == "classification":
         metrics = {
             "accuracy": accuracy(ytrue.reshape(-1), yhat.reshape(-1)),
@@ -257,7 +250,8 @@ def cmd_gradcheck(args):
     cfg = _load_config(args.config)
     grid = cfg.get("grid")
     if grid is not None:
-        if not isinstance(grid, list) or not all(isinstance(e, list) and len(e) == 3 for e in grid):
+        if not isinstance(grid, list) or not grid or not all(
+                isinstance(e, list) and len(e) == 3 for e in grid):
             raise CliError("gradcheck grid must be a list of [n_d, n_y, multiview] entries")
         grid = [(integral("grid n_d", n_d), integral("grid n_y", n_y), bool(mv))
                 for n_d, n_y, mv in grid]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, LtrModel, forward_batch, integral
+from .model import Dataset, LtrModel, forward_terms, integral
 
 
 @dataclass
@@ -50,7 +50,7 @@ def sample_dataset(model, m, noise_level=0.0, seed=0):
         raise ValueError("noise_level must be nonnegative")
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((m, model.n))
-    _, y = forward_batch(model, [X])
+    _, _, y = forward_terms(model.P, model.lam, model.Q, [X] * model.n_d)
     if noise_level > 0:
         sigma = noise_level * float(np.std(y))
         y = y + rng.standard_normal(y.shape) * sigma

@@ -130,6 +130,12 @@ class CvResult:
     stderr_rmse: float
 
 
+def column_scores(Y, Yhat):
+    """``(pearson, rmse)`` of (m, n_y) predictions, each averaged over the output columns."""
+    cols = [(pearson(Y[:, j], Yhat[:, j]), rmse(Y[:, j], Yhat[:, j])) for j in range(Y.shape[1])]
+    return tuple(float(np.mean(c)) for c in zip(*cols))
+
+
 def _stderr(values):
     values = np.asarray(values, dtype=float)
     if values.size < 2:
@@ -157,10 +163,9 @@ def cross_validate(dataset, learner, folds, seed=0):
             raise RuntimeError(f"learner failed on fold {f}: {exc}") from exc
         if yhat.ndim == 1:
             yhat = yhat.reshape(-1, 1)
-        cols_p = [pearson(test.Y[:, j], yhat[:, j]) for j in range(test.n_y)]
-        cols_r = [rmse(test.Y[:, j], yhat[:, j]) for j in range(test.n_y)]
-        fold_p.append(float(np.mean(cols_p)))
-        fold_r.append(float(np.mean(cols_r)))
+        p, r = column_scores(test.Y, yhat)
+        fold_p.append(p)
+        fold_r.append(r)
     return CvResult(
         fold_pearson=fold_p,
         fold_rmse=fold_r,

@@ -238,24 +238,13 @@ def forward_terms(P, lam, Q, views):
     ``Z`` are the projections ``Z_d = X_d P_d^T``; ``F`` (m, n_t) is their
     elementwise product, the per-term factor products; ``raw = F @
     diag(lam) @ Q`` (m, n_y) is the output before the link. Prediction,
-    the loss, the gradients and deflation all build ``F`` here.
+    data generation, the loss and the gradients all build ``F`` here.
     """
     Z = z_factors(P, views)
     F = Z[0].copy()
     for Zd in Z[1:]:
         F *= Zd
     return Z, F, (F * lam) @ Q
-
-
-def forward_batch(model, views):
-    """Batch forward pass.
-
-    Returns ``(F, Yhat)`` where ``F`` is the (m, n_t) matrix of per-term
-    factor products and ``Yhat = F @ diag(lam) @ Q`` is (m, n_y).
-    """
-    views = resolve_views(views, model.n_d, model.dims)
-    _, F, Yhat = forward_terms(model.P, model.lam, model.Q, views)
-    return F, Yhat
 
 
 def sigmoid(u):
@@ -270,20 +259,20 @@ def sigmoid(u):
 
 
 def predict(model, views):
-    """Predictions with homogenization and link applied.
+    """Predictions of ``model`` on a matrix or a list of views: (m, n_y), m may be 0.
 
-    Views one column short of the factor width are homogenized when the
-    model carries the flag; logistic models return probabilities.
+    The one model-level forward pass. Views one column short of the
+    factor width are homogenized when the model carries the flag;
+    logistic models return probabilities.
     """
     if isinstance(views, np.ndarray):
         views = [views]
     if model.homogenized and len(views) <= model.n_d:  # resolve_views rejects surplus views
         views = [homogenize(V) if _as_float_matrix(V).shape[1] == width - 1 else V
                  for V, width in zip(views, model.dims)]
-    _, raw = forward_batch(model, views)
-    if model.link == "logistic":
-        return sigmoid(raw)
-    return raw
+    views = resolve_views(views, model.n_d, model.dims)
+    _, _, raw = forward_terms(model.P, model.lam, model.Q, views)
+    return sigmoid(raw) if model.link == "logistic" else raw
 
 
 def materialize_tensor(model):

@@ -124,7 +124,7 @@ class FitReport:
     residual norm after each block, so it never increases; it is empty
     with the logistic link. ``eta_squared[b]`` is the correlation ratio
     of per-layer training predictions over layers 1..b+1 (layered mode
-    only).
+    only). ``report.json`` is these fields, in this order.
     """
 
     mode: str
@@ -134,20 +134,9 @@ class FitReport:
     seconds: list = field(default_factory=list)
     final_lambda: np.ndarray = None
 
-    def to_dict(self):
-        return {
-            "mode": self.mode,
-            "loss_traces": [[float(v) for v in tr] for tr in self.loss_traces],
-            "residual_norms": [float(v) for v in self.residual_norms],
-            "eta_squared": None
-            if self.eta_squared is None
-            else [float(v) for v in self.eta_squared],
-            "seconds": [float(v) for v in self.seconds],
-            "final_lambda": [float(v) for v in np.asarray(self.final_lambda).reshape(-1)],
-        }
-
 
 def _raw_loss(P, lam, Q, views, Y, C_p, C_q, link):
+    """``(loss, raw)``: the regularized objective and the pre-link output it was taken on."""
     m, n_y = Y.shape
     n_t = lam.shape[0]
     n_d = len(P)
@@ -164,7 +153,7 @@ def _raw_loss(P, lam, Q, views, Y, C_p, C_q, link):
         reg_p += float(np.sum(Pd * Pd)) / Pd.shape[1]
     reg_p *= C_p / (2.0 * n_t * n_d)
     reg_q = C_q / (2.0 * n_t * n_y) * float(np.sum(Q * Q))
-    return data + reg_p + reg_q
+    return data + reg_p + reg_q, raw
 
 
 def _raw_gradients(P, lam, Q, views, Y, C_p, C_q, link):
@@ -196,7 +185,7 @@ def loss(model, dataset, config):
     on the factor matrices and output components; with a logistic link
     the data term is the mean negative log-likelihood instead.
     """
-    return _raw_loss(*_model_inputs(model, dataset), config.C_p, config.C_q, config.link)
+    return _raw_loss(*_model_inputs(model, dataset), config.C_p, config.C_q, config.link)[0]
 
 
 def gradients(model, batch, config):
@@ -254,10 +243,12 @@ def adam_step(
 def _fit_block(views, Y, n_t, config, rng, phase):
     """Fit one block of ``n_t`` terms on (views, Y) by mini-batch ADAM.
 
-    Returns ``(lam, P, Q, trace)``; Q stays all-ones and untrained for
-    scalar outputs. ``phase`` is the 1-based block index a divergence
-    reports. Overflow on the way to a diverged loss is not warned about:
-    the epoch-loss check raises `TrainingDivergedError` instead.
+    Returns ``(lam, P, Q, trace, raw)``, where ``raw`` is the block's
+    pre-link output on ``views``, from the last epoch's loss; Q stays
+    all-ones and untrained for scalar outputs. ``phase`` is the 1-based
+    block index a divergence reports. Overflow on the way to a diverged
+    loss is not warned about: the epoch-loss check raises
+    `TrainingDivergedError` instead.
     """
     m, n_y = Y.shape
     if m == 0:
@@ -288,11 +279,11 @@ def _fit_block(views, Y, n_t, config, rng, phase):
                 eps=config.adam_eps,
                 update_q=train_q,
             )
-        L = _raw_loss(P, lam, Q, views, Y, config.C_p, config.C_q, config.link)
+        L, raw = _raw_loss(P, lam, Q, views, Y, config.C_p, config.C_q, config.link)
         if not np.isfinite(L):
             raise TrainingDivergedError(epoch, phase)
         trace.append(L)
-    return lam, P, Q, trace
+    return lam, P, Q, trace, raw
 
 
 def fit(dataset, config):
@@ -332,9 +323,8 @@ def fit(dataset, config):
     fitted, layer_preds = [], []
     for phase, block in enumerate(blocks, 1):
         t0 = time.perf_counter()
-        lam_b, P_b, Q_b, trace = _fit_block(views, residual, block, config, rng, phase)
+        lam_b, P_b, Q_b, trace, pred = _fit_block(views, residual, block, config, rng, phase)
         if not logistic:
-            _, _, pred = forward_terms(P_b, lam_b, Q_b, views)
             new_residual = residual - pred
             if np.sum(new_residual**2) > np.sum(residual**2):
                 # the block did not help on the training data; drop its weight

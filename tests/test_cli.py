@@ -561,7 +561,19 @@ REJECTED = [
      r"^error: grid n_d must be an integer >= 1, got 2\.7$"),
     *[(f"gradcheck-grid-{case}", {"cfg.json": json.dumps({"grid": grid})}, GRADCHECK_ARGS,
        r"^error: gradcheck grid must be a list of \[n_d, n_y, multiview\] entries$")
-      for case, grid in (("number", 5), ("number-entry", [5]), ("short-entry", [[2, 1]]))],
+      for case, grid in (("number", 5), ("number-entry", [5]), ("short-entry", [[2, 1]]),
+                         ("empty", []))],
+    ("predict-header-only-wrong-width",
+     {"model.json": xy_model_json(), "in.csv": "x1,x2,x3,x4,x5\n"}, PREDICT_ARGS,
+     r"^error: prediction input mismatch: view 0 has 5 columns, factor expects 2$"),
+    *[(f"benchmark-learners-{case}", {"cfg.json": one_point_sweep("learners", learners)},
+       BENCH_ARGS, r"^error: benchmark learners must be a non-empty list of names from "
+       rf"\('ltr', 'lr', 'krr', 'fm'\), got {re.escape(repr(learners))}$")
+      for case, learners in (("string", "lr"), ("typo", ["ltr", "ltrr"]), ("empty", []))],
+    *[(f"benchmark-values-{case}", {"cfg.json": one_point_sweep("sweep.values", values)},
+       BENCH_ARGS,
+       rf"^error: benchmark sweep\.values must be a non-empty list, got {re.escape(repr(values))}$")
+      for case, values in (("number", 5), ("empty", []))],
     ("predict-view-without-x", {"model.json": xy_model_json(), "v.csv": "y\n1\n"},
      ["predict", "--model", "{dir}/model.json", "--views", "{dir}/v.csv", "--out", "{dir}/out"],
      r"^error: \S*v\.csv: no x\* columns$"),

@@ -5,10 +5,10 @@ from tensorpoly import (
     GeneratorSpec,
     forward_scalar,
     generate_model,
+    predict,
     sample_dataset,
     quadratics_dataset,
 )
-from tensorpoly.model import forward_batch
 
 
 class TestGenerateModel:
@@ -44,14 +44,14 @@ class TestSampleDataset:
         spec = GeneratorSpec(n=3, n_d=2, n_t=2, m=50, seed=7)
         model = generate_model(spec)
         ds = sample_dataset(model, 50, 0.0, seed=8)
-        _, expected = forward_batch(model, [ds.X])
+        expected = predict(model, [ds.X])
         assert np.array_equal(ds.Y, expected)
 
     def test_noise_level_definition(self):
         spec = GeneratorSpec(n=3, n_d=2, n_t=2, m=10, seed=9)
         model = generate_model(spec)
         ds = sample_dataset(model, 100_000, 1.0, seed=10)
-        _, clean = forward_batch(model, [ds.X])
+        clean = predict(model, [ds.X])
         ratio = np.std(ds.Y - clean) / np.std(clean)
         assert 0.9 <= ratio <= 1.1
 

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorpoly import (
     Dataset,
@@ -14,7 +16,7 @@ from tensorpoly import (
     tensor_contract,
 )
 from tensorpoly.metrics import rmse
-from tensorpoly.model import forward_batch, hadamard_partials, homogenize, z_factors
+from tensorpoly.model import forward_terms, hadamard_partials, homogenize, z_factors
 
 from helpers import loop_forward, random_model
 
@@ -89,7 +91,7 @@ class TestForwardBatch:
         for model in (unit_xy_model(),
                       LtrModel(P=[np.array([[1.0, -1.0]]), np.array([[1.0, 1.0]])],
                                Q=np.ones((1, 1)), lam=[1.0])):
-            _, yhat = forward_batch(model, [X])
+            yhat = predict(model, [X])
             for i in range(2):
                 assert yhat[i, 0] == pytest.approx(forward_scalar(model, X[i]))
 
@@ -97,24 +99,38 @@ class TestForwardBatch:
         rng = np.random.default_rng(3)
         model = random_model(rng, n=4, n_d=3, n_t=2)
         X = rng.standard_normal((20, 4))
-        _, single = forward_batch(model, [X])
-        _, multi = forward_batch(model, [X, X, X])
+        single = predict(model, [X])
+        multi = predict(model, [X, X, X])
         assert np.array_equal(single, multi)
 
     def test_against_per_example_loop(self):
         rng = np.random.default_rng(17)
         model = random_model(rng, n=4, n_d=3, n_t=3, n_y=2)
         X = rng.standard_normal((50, 4))
-        _, yhat = forward_batch(model, [X])
+        yhat = predict(model, [X])
         expected = loop_forward(model, X)
         assert np.max(np.abs(yhat - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 6), n_d=st.integers(1, 4), n_t=st.integers(1, 5),
+           n_y=st.integers(1, 3), m=st.integers(0, 20), shared=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_against_per_example_loop_over_shapes(self, n, n_d, n_t, n_y, m, shared, seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n=n, n_d=n_d, n_t=n_t, n_y=n_y)
+        X = rng.standard_normal((m, n))
+        yhat = predict(model, [X] if shared else [X] * n_d)
+        expected = loop_forward(model, X)
+        assert yhat.shape == (m, n_y)
+        if m:
+            assert np.max(np.abs(yhat - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_view_count_mismatch(self):
         rng = np.random.default_rng(0)
         model = random_model(rng, n=3, n_d=3, n_t=2)
         X = rng.standard_normal((5, 3))
         with pytest.raises(ValueError):
-            forward_batch(model, [X, X])
+            predict(model, [X, X])
 
 
 def forward_partial(model, X, skip_d):
@@ -133,7 +149,7 @@ class TestForwardPartial:
         rng = np.random.default_rng(5)
         model = random_model(rng, n=3, n_d=3, n_t=2)
         X = rng.standard_normal((8, 3))
-        F, _ = forward_batch(model, [X])
+        _, F, _ = forward_terms(model.P, model.lam, model.Q, [X] * model.n_d)
         for d in range(1, model.n_d + 1):
             Zd = X @ model.P[d - 1].T
             recon = forward_partial(model, X, d) * Zd
@@ -242,8 +258,8 @@ class TestModelInvariants:
             Q=model.Q[perm],
             lam=model.lam[perm],
         )
-        _, a = forward_batch(model, [X])
-        _, b = forward_batch(permuted, [X])
+        a = predict(model, [X])
+        b = predict(permuted, [X])
         assert np.max(np.abs(a - b)) <= 1e-10 * max(1.0, np.max(np.abs(a)))
 
 
@@ -255,9 +271,9 @@ class TestConcurrentEvaluation:
         rng = np.random.default_rng(55)
         model = random_model(rng, n=4, n_d=3, n_t=3, n_y=2)
         X = rng.standard_normal((200, 4))
-        _, expected = forward_batch(model, [X])
+        expected = predict(model, [X])
         with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(lambda _: forward_batch(model, [X])[1], range(32)))
+            results = list(pool.map(lambda _: predict(model, [X]), range(32)))
         for got in results:
             assert np.array_equal(got, expected)
 

@@ -10,7 +10,6 @@ from tensorpoly import (
     predict,
     quadratics_dataset,
 )
-from tensorpoly.model import forward_batch
 from tensorpoly.training import AdamState, TrainingDivergedError, adam_step, gradients, loss
 from tensorpoly.gradcheck import max_relative_error, numeric_gradients, run_suite
 from tensorpoly.metrics import accuracy
@@ -41,7 +40,7 @@ class TestLoss:
         rng = np.random.default_rng(2)
         model = random_model(rng, n=3, n_d=2, n_t=2)
         X = rng.standard_normal((20, 3))
-        _, Y = forward_batch(model, [X])
+        Y = predict(model, [X])
         ds = Dataset(views=[X], Y=Y)
         cfg = TrainConfig(n_d=2, n_t=2, C_p=0.0, C_q=0.0)
         assert loss(model, ds, cfg) == pytest.approx(0.0, abs=1e-20)
@@ -81,7 +80,7 @@ class TestGradients:
         rng = np.random.default_rng(5)
         model = random_model(rng, n=3, n_d=2, n_t=2, n_y=2)
         X = rng.standard_normal((12, 3))
-        _, Y = forward_batch(model, [X])
+        Y = predict(model, [X])
         ds = Dataset(views=[X], Y=Y)
         cfg = TrainConfig(n_d=2, n_t=2, C_p=0.0, C_q=0.0)
         g_lam, g_P, g_Q = gradients(model, ds, cfg)
@@ -94,7 +93,7 @@ class TestGradients:
         rng = np.random.default_rng(6)
         model = random_model(rng, n=3, n_d=3, n_t=2, n_y=2)
         X = rng.standard_normal((10, 3))
-        _, Y = forward_batch(model, [X])
+        Y = predict(model, [X])
         ds = Dataset(views=[X], Y=Y)
         cfg = TrainConfig(n_d=3, n_t=2, C_p=0.9, C_q=0.4)
         _, g_P, g_Q = gradients(model, ds, cfg)
@@ -373,7 +372,7 @@ class TestFitJoint:
         rng = np.random.default_rng(8)
         X = rng.standard_normal((10_000, 4))
         true = random_model(rng, n=4, n_d=2, n_t=3, n_y=3)
-        _, Y = forward_batch(true, [X])
+        Y = predict(true, [X])
         ds = Dataset(views=[X], Y=Y)
         cfg = TrainConfig(n_d=2, n_t=3, epochs=15, batch_size=100,
                           learning_rate=0.05, mode="joint", seed=3)
@@ -448,7 +447,7 @@ class TestFitLayered:
         rng = np.random.default_rng(2)
         X = rng.standard_normal((2000, 4))
         true = random_model(rng, n=4, n_d=3, n_t=6)
-        _, Y = forward_batch(true, [X])
+        Y = predict(true, [X])
         ds = Dataset(views=[X], Y=Y)
         cfg = TrainConfig(n_d=3, n_t=6, epochs=8, batch_size=100,
                           learning_rate=0.05, mode="layered",
@@ -470,7 +469,7 @@ class TestFitLayered:
         rng = np.random.default_rng(6)
         X = rng.standard_normal((1500, 3))
         true = random_model(rng, n=3, n_d=2, n_t=4, n_y=2)
-        _, Y = forward_batch(true, [X])
+        Y = predict(true, [X])
         ds = Dataset(views=[X], Y=Y)
         cfg = TrainConfig(n_d=2, n_t=4, epochs=10, batch_size=100,
                           learning_rate=0.05, mode="layered",
