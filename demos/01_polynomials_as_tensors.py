@@ -9,8 +9,8 @@ import numpy as np
 
 from tensorpoly import (
     LtrModel,
-    forward_scalar,
     materialize_tensor,
+    predict,
     tensor_contract,
 )
 
@@ -20,7 +20,8 @@ model = LtrModel(
     Q=np.ones((1, 1)),
     lam=[1.0],
 )
-print("f(2, 3) =", forward_scalar(model, [2.0, 3.0]))
+# predict takes a matrix with one row per point and returns one row per point
+print("f(2, 3) =", predict(model, np.array([[2.0, 3.0]]))[0, 0])
 
 # the same polynomial as a dense 2x2 coefficient tensor
 T = materialize_tensor(model)
@@ -33,7 +34,7 @@ model2 = LtrModel(
     Q=np.ones((1, 1)),
     lam=[1.0],
 )
-print("\nx1^2 - x2^2 at (2, 1):", forward_scalar(model2, [2.0, 1.0]))
+print("\nx1^2 - x2^2 at (2, 1):", predict(model2, np.array([[2.0, 1.0]]))[0, 0])
 print("its tensor:\n", materialize_tensor(model2))
 
 # both evaluation routes agree on random models
@@ -46,5 +47,5 @@ model3 = LtrModel(
 T3 = materialize_tensor(model3)
 x = rng.standard_normal(4)
 print("\nrandom degree-3 model, both routes:")
-print("  decomposed:", forward_scalar(model3, x))
+print("  decomposed:", predict(model3, x.reshape(1, -1))[0, 0])
 print("  dense:     ", tensor_contract(T3, x))

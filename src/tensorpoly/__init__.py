@@ -8,7 +8,6 @@ imported from their submodules.
 from .model import (
     Dataset,
     LtrModel,
-    forward_scalar,
     materialize_tensor,
     predict,
     tensor_contract,
@@ -26,7 +25,6 @@ __all__ = [
     "TrainConfig",
     "cross_validate",
     "fit",
-    "forward_scalar",
     "generate_model",
     "materialize_tensor",
     "pearson",

@@ -28,11 +28,6 @@ class KrrModel:
     alpha: np.ndarray
     b: float
     n_d: int
-    ridge: float
-
-    def __post_init__(self):
-        if self.alpha.shape[0] != self.X_train.shape[0]:
-            raise ValueError("alpha length must equal stored training rows")
 
 
 def krr_fit(dataset, b=1.0, n_d=2, ridge=1e-8):
@@ -52,7 +47,7 @@ def krr_fit(dataset, b=1.0, n_d=2, ridge=1e-8):
         alpha = np.linalg.solve(K, dataset.Y[:, 0])
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"kernel system is singular: {exc}") from exc
-    return KrrModel(X_train=X, alpha=alpha, b=b, n_d=n_d, ridge=ridge)
+    return KrrModel(X_train=X, alpha=alpha, b=b, n_d=n_d)
 
 
 def krr_predict(model, X):

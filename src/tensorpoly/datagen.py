@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, LtrModel, forward_terms, integral
+from .model import Dataset, LtrModel, forward_terms, integral, real
 
 
 @dataclass
@@ -25,7 +25,7 @@ class GeneratorSpec:
         for name in ("n", "n_d", "n_t", "m"):
             integral(name, getattr(self, name))
         integral("seed", self.seed, 0)
-        if self.noise_level < 0:
+        if real("noise_level", self.noise_level) < 0:
             raise ValueError("noise_level must be nonnegative")
 
 

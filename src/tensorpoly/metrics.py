@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,6 +129,7 @@ class CvResult:
     stderr_pearson: float
     mean_rmse: float
     stderr_rmse: float
+    fit_seconds: list
 
 
 def column_scores(Y, Yhat):
@@ -148,16 +150,19 @@ def cross_validate(dataset, learner, folds, seed=0):
 
     ``learner`` takes a training Dataset and returns a predictor mapping
     a held-out Dataset to predictions of shape (m, n_y). Pearson and
-    RMSE are averaged over output columns within each fold; learner
-    failures are re-raised annotated with the fold index.
+    RMSE are averaged over output columns within each fold, and each
+    fold's ``learner(train)`` call is timed; learner failures are
+    re-raised annotated with the fold index.
     """
     assignment = make_cv_plan(dataset.m, folds, seed)
-    fold_p, fold_r = [], []
+    fold_p, fold_r, fit_seconds = [], [], []
     for f in range(folds):
         train = dataset.take(np.flatnonzero(assignment != f))
         test = dataset.take(np.flatnonzero(assignment == f))
         try:
+            t0 = time.perf_counter()
             predictor = learner(train)
+            fit_seconds.append(time.perf_counter() - t0)
             yhat = np.asarray(predictor(test), dtype=float)
         except Exception as exc:
             raise RuntimeError(f"learner failed on fold {f}: {exc}") from exc
@@ -173,4 +178,5 @@ def cross_validate(dataset, learner, folds, seed=0):
         stderr_pearson=_stderr(fold_p),
         mean_rmse=float(np.mean(fold_r)),
         stderr_rmse=_stderr(fold_r),
+        fit_seconds=fit_seconds,
     )

@@ -12,6 +12,7 @@ In the multi-view case each factor ``d`` consumes its own input matrix.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -36,6 +37,13 @@ def integral(name, value, low=1):
     if not isinstance(value, numbers.Integral) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
+
+
+def real(name, value):
+    """``value`` as a float; a ValueError naming ``name`` unless it is a finite real number."""
+    if not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def homogenize(X):
@@ -217,19 +225,6 @@ def hadamard_partials(Z):
         out[d] = prefix[d] * suffix
         suffix = suffix * Z[d]
     return out
-
-
-def forward_scalar(model, x):
-    """Evaluate a scalar-output model at one point."""
-    if model.n_y != 1:
-        raise ValueError("forward_scalar requires a scalar-output model")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != model.n:
-        raise ValueError(f"x has length {x.shape[0]}, model expects {model.n}")
-    terms = np.ones(model.n_t)
-    for Pd in model.P:
-        terms = terms * (Pd @ x)
-    return float(np.dot(model.lam, terms))
 
 
 def forward_terms(P, lam, Q, views):

@@ -15,7 +15,6 @@ left; a block that raises the training sum of squares is zeroed out.
 
 from __future__ import annotations
 
-import math
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -30,6 +29,7 @@ from .model import (
     hadamard_partials,
     homogenize,
     integral,
+    real,
     resolve_views,
     sigmoid,
 )
@@ -76,9 +76,11 @@ class TrainConfig:
         for name, low in (("n_d", 1), ("n_t", 1), ("epochs", 1), ("batch_size", 1), ("seed", 0)):
             integral(name, getattr(self, name), low)
         for name in ("C_p", "C_q", "learning_rate", "adam_beta1", "adam_beta2", "adam_eps"):
+            real(name, getattr(self, name))
+        for name in ("shuffle", "homogenize"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            if not isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be true or false, got {value!r}")
         if self.C_p < 0 or self.C_q < 0:
             raise ValueError("regularization constants must be nonnegative")
         if self.learning_rate <= 0:

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from tensorpoly import LtrModel
+from tensorpoly import LtrModel, predict
 
 
 def random_model(rng, n, n_d, n_t, n_y=1):
@@ -13,6 +13,11 @@ def random_model(rng, n, n_d, n_t, n_y=1):
         Q = rng.standard_normal((n_t, n_y))
     lam = rng.standard_normal(n_t)
     return LtrModel(P=P, Q=Q, lam=lam)
+
+
+def predict_point(model, x):
+    """`predict` of a scalar-output model on the one-row matrix ``x``."""
+    return float(predict(model, np.reshape(np.asarray(x, dtype=float), (1, -1)))[0, 0])
 
 
 def loop_forward(model, X):

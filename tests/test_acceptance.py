@@ -21,7 +21,6 @@ from tensorpoly import (
     TrainConfig,
     cross_validate,
     fit,
-    forward_scalar,
     generate_model,
     GeneratorSpec,
     materialize_tensor,
@@ -34,7 +33,7 @@ from tensorpoly.benchmark import fm_learner, krr_learner, linreg_learner, ltr_le
 from tensorpoly.cli import main
 from tensorpoly.metrics import accuracy
 
-from helpers import random_model
+from helpers import predict_point, random_model
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -103,7 +102,7 @@ def test_criterion_3_oracle_equivalence():
             n_t = int(rng.integers(1, 4))
             model = random_model(rng, n=n, n_d=n_d, n_t=n_t)
             x = rng.standard_normal(n)
-            direct = forward_scalar(model, x)
+            direct = predict_point(model, x)
             dense = tensor_contract(materialize_tensor(model), x)
             assert abs(direct - dense) <= 1e-10 * max(1.0, abs(direct), abs(dense))
         assert time.perf_counter() - start < 5.0

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tensorpoly import Dataset, LtrModel, TrainConfig, fit, predict, quadratics_dataset
+from tensorpoly import Dataset, LtrModel, TrainConfig, benchmark, fit, predict, quadratics_dataset
 from tensorpoly.cli import main
 from tensorpoly.io import (
     load_model,
@@ -406,6 +406,19 @@ class TestBenchmark:
         assert by_learner["lr"][3.0] <= by_learner["lr"][1.0] - 0.2
         assert by_learner["lr"][2.0] <= by_learner["ltr"][2.0] - 0.2
 
+    @pytest.mark.parametrize("train, sweep", [
+        ({"epoch": 3}, {"variable": "degree", "values": [1, 2]}),
+        # valid at rank 2, invalid at rank 3: the first point must not be fitted either
+        ({"mode": "layered", "rank_blocks": [1, 1]}, {"variable": "rank", "values": [2, 3]}),
+    ], ids=["unknown-key", "second-point"])
+    def test_bad_train_section_raises_before_any_fit(self, monkeypatch, train, sweep):
+        calls = []
+        monkeypatch.setattr(benchmark, "fit", lambda *a, **k: calls.append(a))
+        cfg = self.bench_config() | {"train": train, "sweep": sweep}
+        with pytest.raises(ValueError, match="benchmark config at"):
+            benchmark.run_benchmark(cfg)
+        assert calls == []
+
     def test_failed_point_recorded_in_row(self, tmp_path):
         cfg_dict = self.bench_config()
         cfg_dict["learners"] = ["krr"]
@@ -496,10 +509,10 @@ XY_CSV = "x1,x2,y\n1,2,2\n3,4,12\n"
 GRADCHECK_ARGS = ["gradcheck", "--config", "{dir}/cfg.json"]
 
 
-def one_point_sweep(name, value):
+def one_point_sweep(name, value, learners=("ltr", "lr")):
     """JSON of a valid one-point benchmark config with ``name`` ("key" or "section.key") set."""
     cfg = {"sweep": {"variable": "degree", "values": [1]},
-           "base": {"n": 3, "degree": 2, "rank": 2, "m": 50}}
+           "base": {"n": 3, "degree": 2, "rank": 2, "m": 50}, "learners": list(learners)}
     *section, key = name.split(".")
     (cfg.setdefault(section[0], {}) if section else cfg)[key] = value
     return json.dumps(cfg)
@@ -585,6 +598,26 @@ REJECTED = [
     *[(f"evaluate-topk{k}", {"p.csv": "y1,y2\n0.9,0.1\n0.2,0.8\n", "t.csv": "y1,y2\n1,0\n0,1\n"},
        EVALUATE_ARGS + ["--task", "multilabel", "--topk", k],
        rf"^error: --topk must be an integer >= 1, got {k}$") for k in ("0", "-1")],
+    *[(f"benchmark-{case}", {"cfg.json": one_point_sweep(name, value, learners)}, BENCH_ARGS,
+       rf"^error: benchmark config at degree=1: {message}$")
+      for case, name, value, learners, message in (
+          ("train-unknown-key", "train.epoch", 3, ["ltr"],
+           r"TrainConfig.__init__\(\) got an unexpected keyword argument 'epoch'"),
+          ("krr-string", "krr.ridge", "x", ["krr"], r"krr\.ridge must be a finite number, got 'x'"),
+          ("fm-string", "fm.learning_rate", "fast", ["fm"],
+           r"fm\.learning_rate must be a finite number, got 'fast'"),
+          ("noise-list", "base.noise", [1], ["lr"],
+           r"noise_level must be a finite number, got \[1\]"))],
+    ("generate-noise-list", {"cfg.json": '{"generator": {"noise": [1]}}'}, GENERATE_ARGS,
+     r"^error: noise_level must be a finite number, got \[1\]$"),
+    ("generate-quadratics-function-list",
+     {"cfg.json": '{"generator": {"type": "quadratics", "function": ["xy"]}}'}, GENERATE_ARGS,
+     r"^error: unknown quadratics function \['xy'\]$"),
+    *[(f"train-{key}-string", {"cfg.json": json.dumps({"train": {key: "false"}}), "in.csv": XY_CSV},
+       TRAIN_CFG_ARGS, rf"^error: {key} must be true or false, got 'false'$")
+      for key in ("homogenize", "shuffle")],
+    ("gradcheck-h", {"cfg.json": '{"h": 1e-6}'}, GRADCHECK_ARGS,
+     r"^error: unknown gradcheck config key 'h'; only 'grid' is read$"),
     ("benchmark-base-fraction",
      {"cfg.json": json.dumps({"sweep": {"variable": "noise", "values": [0.0]},
                               "base": {"n": 3.5, "degree": 2, "rank": 2, "m": 50}})},

@@ -3,12 +3,13 @@ import pytest
 
 from tensorpoly import (
     GeneratorSpec,
-    forward_scalar,
     generate_model,
     predict,
     sample_dataset,
     quadratics_dataset,
 )
+
+from helpers import predict_point
 
 
 class TestGenerateModel:
@@ -68,7 +69,7 @@ class TestSampleDataset:
         model = generate_model(spec)
         ds = sample_dataset(model, 5, 0.0, seed=14)
         for i in range(5):
-            scaled = forward_scalar(model, 2.0 * ds.X[i])
+            scaled = predict_point(model, 2.0 * ds.X[i])
             assert scaled == pytest.approx(8.0 * ds.Y[i, 0], rel=1e-10)
 
 

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -162,6 +163,18 @@ class TestCrossValidation:
         res = cross_validate(ds, learner, 4, seed=0)
         assert res.mean_pearson == pytest.approx(1.0)
         assert res.mean_rmse == pytest.approx(0.0, abs=1e-14)
+
+    def test_fit_seconds_one_per_fold(self):
+        rng = np.random.default_rng(5)
+        ds = Dataset(views=[rng.standard_normal((30, 2))], Y=rng.standard_normal(30))
+
+        def learner(train):
+            time.sleep(0.002)  # the timed part is the learner(train) call
+            return lambda test: test.X[:, 0]
+
+        res = cross_validate(ds, learner, 3, seed=0)
+        assert len(res.fit_seconds) == 3
+        assert all(seconds >= 0.002 for seconds in res.fit_seconds)
 
     def test_learner_failure_annotated_with_fold(self):
         rng = np.random.default_rng(4)

@@ -10,7 +10,6 @@ from tensorpoly import (
     LtrModel,
     TrainConfig,
     fit,
-    forward_scalar,
     materialize_tensor,
     predict,
     tensor_contract,
@@ -18,7 +17,7 @@ from tensorpoly import (
 from tensorpoly.metrics import rmse
 from tensorpoly.model import forward_terms, hadamard_partials, homogenize, z_factors
 
-from helpers import loop_forward, random_model
+from helpers import loop_forward, predict_point, random_model
 
 
 def unit_xy_model():
@@ -62,17 +61,17 @@ class TestHomogenize:
 
 class TestForwardScalar:
     def test_unit_factors_give_product(self):
-        assert forward_scalar(unit_xy_model(), [2.0, 3.0]) == pytest.approx(6.0)
+        assert predict_point(unit_xy_model(), [2.0, 3.0]) == pytest.approx(6.0)
 
     def test_difference_of_squares(self):
         model = LtrModel(P=[np.array([[1.0, -1.0]]), np.array([[1.0, 1.0]])],
                          Q=np.ones((1, 1)), lam=[1.0])
         # (x1 - x2)(x1 + x2) = x1^2 - x2^2 -> 4 - 1 = 3
-        assert forward_scalar(model, [2.0, 1.0]) == pytest.approx(3.0)
+        assert predict_point(model, [2.0, 1.0]) == pytest.approx(3.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            forward_scalar(unit_xy_model(), [1.0, 2.0, 3.0])
+            predict_point(unit_xy_model(), [1.0, 2.0, 3.0])
 
     def test_agrees_with_dense_tensor(self):
         rng = np.random.default_rng(11)
@@ -80,7 +79,7 @@ class TestForwardScalar:
         T = materialize_tensor(model)
         for _ in range(10):
             x = rng.standard_normal(3)
-            direct = forward_scalar(model, x)
+            direct = predict_point(model, x)
             via_tensor = tensor_contract(T, x)
             assert abs(direct - via_tensor) <= 1e-10 * max(1.0, abs(via_tensor))
 
@@ -92,8 +91,7 @@ class TestForwardBatch:
                       LtrModel(P=[np.array([[1.0, -1.0]]), np.array([[1.0, 1.0]])],
                                Q=np.ones((1, 1)), lam=[1.0])):
             yhat = predict(model, [X])
-            for i in range(2):
-                assert yhat[i, 0] == pytest.approx(forward_scalar(model, X[i]))
+            assert yhat == pytest.approx(loop_forward(model, X))
 
     def test_duplicated_view_path_is_bit_identical(self):
         rng = np.random.default_rng(3)
@@ -212,7 +210,7 @@ class TestDenseTensorOracle:
             n_t = int(rng.integers(1, 4))
             model = random_model(rng, n=n, n_d=n_d, n_t=n_t)
             x = rng.standard_normal(n)
-            direct = forward_scalar(model, x)
+            direct = predict_point(model, x)
             via_tensor = tensor_contract(materialize_tensor(model), x)
             assert abs(direct - via_tensor) <= 1e-10 * max(1.0, abs(via_tensor), abs(direct))
 
@@ -232,7 +230,7 @@ class TestModelInvariants:
                 rows[d] = vec
                 model = LtrModel(P=[r.reshape(1, -1) for r in rows],
                                  Q=np.ones((1, 1)), lam=[1.0])
-                return forward_scalar(model, x)
+                return predict_point(model, x)
 
             combined = term_with(alpha * p + beta * q)
             split = alpha * term_with(p) + beta * term_with(q)
@@ -244,8 +242,8 @@ class TestModelInvariants:
             model = random_model(rng, n=3, n_d=n_d, n_t=2)
             x = rng.standard_normal(3)
             for c in (-2.0, 0.5, 3.0):
-                scaled = forward_scalar(model, c * x)
-                expected = c**n_d * forward_scalar(model, x)
+                scaled = predict_point(model, c * x)
+                expected = c**n_d * predict_point(model, x)
                 assert scaled == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
     def test_rank_permutation_stability(self):

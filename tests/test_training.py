@@ -11,7 +11,7 @@ from tensorpoly import (
     quadratics_dataset,
 )
 from tensorpoly.training import AdamState, TrainingDivergedError, adam_step, gradients, loss
-from tensorpoly.gradcheck import max_relative_error, numeric_gradients, run_suite
+from tensorpoly.gradcheck import TOLERANCE, max_relative_error, numeric_gradients, run_suite
 from tensorpoly.metrics import accuracy
 
 from helpers import random_model
@@ -129,11 +129,12 @@ class TestGradients:
         assert max_relative_error(a_Q, f_Q) <= 1e-5
 
     def test_shape_grid_with_multiview(self):
-        records = run_suite()
-        assert len(records) == 16
-        assert all(rec["ok"] for rec in records)
+        rows = run_suite()
+        assert len(rows) == 3 * 16
+        assert len({shape for shape, *_ in rows}) == 16
+        assert all(err <= TOLERANCE for _, _, err, _ in rows)
         # the degree-1 empty-product path is part of the grid
-        assert any(rec["n_d"] == 1 for rec in records)
+        assert any(shape[0] == 1 for shape, *_ in rows)
 
 
 class TestAdamStep:
