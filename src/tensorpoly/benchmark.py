@@ -140,6 +140,12 @@ def run_benchmark(cfg):
             name in LEARNERS for name in learners):
         raise ValueError(f"benchmark learners must be a non-empty list of names from "
                          f"{LEARNERS}, got {learners!r}")
+    for section, known in (("krr", ("bias", "ridge")),
+                           ("fm", ("steps", "learning_rate", "restarts", "seed"))):
+        for key in cfg.get(section, {}):
+            if key not in known:
+                raise ValueError(f"unknown benchmark {section} key {key!r}; known keys: "
+                                 f"{', '.join(known)}")
     fm = cfg.get("fm", {})
     for name, value, low in (  # counts and seeds outside the sweep; none is truncated
         ("base.seed", cfg["base"].get("seed", 0), 0),

@@ -70,6 +70,9 @@ def _out_path(args, name):
     return os.path.join(out_dir, name)
 
 
+GENERATOR_KEYS = ("type", "n", "degree", "rank", "m", "test_m", "noise", "seed", "function")
+
+
 def cmd_generate(args):
     cfg = _load_config(args.config, ("generator",))
     gen = _apply_overrides(
@@ -77,6 +80,10 @@ def cmd_generate(args):
         args,
         {"seed": "seed", "degree": "degree", "rank": "rank"},
     )
+    for key in gen:
+        if key not in GENERATOR_KEYS:
+            raise CliError(f"unknown generator config key {key!r}; known keys: "
+                           f"{', '.join(GENERATOR_KEYS)}")
     gtype = gen.get("type", "random")
     m = integral("m", gen.get("m", 1000))
     test_m = integral("test_m", gen.get("test_m", m))
@@ -244,6 +251,13 @@ def cmd_benchmark(args):
     return 0
 
 
+def _flag(name, value):
+    """``value`` as a bool; a CliError unless it is true, false, 0 or 1."""
+    if isinstance(value, bool) or type(value) is int and value in (0, 1):
+        return bool(value)
+    raise CliError(f"{name} must be true, false, 0 or 1, got {value!r}")
+
+
 def cmd_gradcheck(args):
     cfg = _load_config(args.config)
     for key in cfg:
@@ -254,7 +268,7 @@ def cmd_gradcheck(args):
         if not isinstance(grid, list) or not grid or not all(
                 isinstance(e, list) and len(e) == 3 for e in grid):
             raise CliError("gradcheck grid must be a list of [n_d, n_y, multiview] entries")
-        grid = [(integral("grid n_d", n_d), integral("grid n_y", n_y), bool(mv))
+        grid = [(integral("grid n_d", n_d), integral("grid n_y", n_y), _flag("grid multiview", mv))
                 for n_d, n_y, mv in grid]
     rows = gradcheck_mod.run_suite(grid=grid, corrupt=args.corrupt)
     for group in ("lambda", "P", "Q"):

@@ -183,47 +183,65 @@ def resolve_views(views, n_d, dims=None):
     """Normalize ``views`` to one matrix per factor.
 
     Accepts a bare matrix, a 1-element list (shared across factors), or a
-    list of exactly ``n_d`` matrices. With ``dims``, column counts must
-    match the factor widths exactly; homogenization is the caller's job
-    (see `predict` and `fit`).
+    list of exactly ``n_d`` matrices. A shared view is converted once, so
+    every factor holds the same object and `z_factors` projects it in one
+    product. With ``dims``, column counts must match the factor widths
+    exactly; homogenization is the caller's job (see `predict` and `fit`).
     """
     if isinstance(views, np.ndarray):
         views = [views]
-    if len(views) == 1:
-        views = [views[0]] * n_d
-    elif len(views) != n_d:
+    if len(views) not in (1, n_d):
         raise ValueError(f"expected 1 or {n_d} views, got {len(views)}")
-    out = []
+    views = [_as_float_matrix(V, f"views[{d}]") for d, V in enumerate(views)]
+    if len(views) == 1:
+        views = views * n_d
     for d, V in enumerate(views):
-        V = _as_float_matrix(V, f"views[{d}]")
         if dims is not None and V.shape[1] != dims[d]:
             raise ValueError(f"view {d} has {V.shape[1]} columns, factor expects {dims[d]}")
-        out.append(V)
-    return out
+    return views
 
 
 def z_factors(P, views):
-    """Per-factor projections Z_d = X_d P_d^T, each (m, n_t)."""
-    return [V @ Pd.T for V, Pd in zip(views, P)]
+    """Per-factor projections Z_d = X_d P_d^T, each (m, n_t).
+
+    Factors that read the same view object share one product,
+    ``vstack(P_group) @ V^T`` of shape (k n_t, m): one wide GEMM instead
+    of k narrow ones. ``Z_d`` is its row block, transposed, a
+    Fortran-order view with no copy.
+    """
+    groups = {}
+    for d, V in enumerate(views):
+        groups.setdefault(id(V), (V, []))[1].append(d)
+    n_t = P[0].shape[0]
+    Z = [None] * len(P)
+    for V, factors in groups.values():
+        stacked = np.vstack([P[d] for d in factors]) @ V.T
+        for j, d in enumerate(factors):
+            Z[d] = stacked[j * n_t:(j + 1) * n_t].T
+    return Z
 
 
 def hadamard_partials(Z):
     """All leave-one-out Hadamard products of the Z_d in one sweep.
 
     Returns a list of length ``n_d`` whose d-th entry is the elementwise
-    product of every ``Z_k`` with ``k != d`` (all-ones for ``n_d == 1``).
-    Prefix/suffix products keep the cost linear in the number of factors.
+    product of every ``Z_k`` with ``k != d`` (all-ones for ``n_d == 1``):
+    the product of ``Z_0..Z_{d-1}`` from the left times that of
+    ``Z_{n_d-1}..Z_{d+1}`` from the right. Prefix/suffix products keep the
+    cost linear in the number of factors. Entries may alias the inputs
+    (for ``n_d == 2`` they are ``Z[1]`` and ``Z[0]``); do not write to them.
     """
     n_d = len(Z)
-    m, n_t = Z[0].shape
-    prefix = [np.ones((m, n_t))]
-    for d in range(n_d - 1):
-        prefix.append(prefix[-1] * Z[d])
-    suffix = np.ones((m, n_t))
-    out = [None] * n_d
-    for d in range(n_d - 1, -1, -1):
-        out[d] = prefix[d] * suffix
+    if n_d == 1:
+        return [np.ones(Z[0].shape)]
+    out = [None, Z[0]]  # out[d] starts as the prefix product Z_0 * ... * Z_{d-1}
+    for d in range(2, n_d):
+        out.append(out[-1] * Z[d - 1])
+    suffix = Z[n_d - 1]
+    for d in range(n_d - 2, 0, -1):
+        out[d] = out[d] * suffix
         suffix = suffix * Z[d]
+    out[0] = suffix
     return out
 
 
@@ -236,7 +254,7 @@ def forward_terms(P, lam, Q, views):
     data generation, the loss and the gradients all build ``F`` here.
     """
     Z = z_factors(P, views)
-    F = Z[0].copy()
+    F = Z[0].copy(order="K")  # keeps Z_0's Fortran layout; a C-order copy is ~5x slower
     for Zd in Z[1:]:
         F *= Zd
     return Z, F, (F * lam) @ Q

@@ -241,6 +241,16 @@ def adam_step(
     return params, state
 
 
+def _take_rows(views, idx):
+    """Rows ``idx`` of each view, gathered once per distinct view object, so
+    factors that share a view share its batch (and one `z_factors` product)."""
+    taken = {}
+    for V in views:
+        if id(V) not in taken:
+            taken[id(V)] = V[idx]
+    return [taken[id(V)] for V in views]
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _fit_block(views, Y, n_t, config, rng, phase):
     """Fit one block of ``n_t`` terms on (views, Y) by mini-batch ADAM.
@@ -267,7 +277,7 @@ def _fit_block(views, Y, n_t, config, rng, phase):
         for start in range(0, m, B):
             stop = min(start + B, m)
             idx = order[start:stop] if order is not None else slice(start, stop)
-            bviews = [V[idx] for V in views]
+            bviews = _take_rows(views, idx)
             grads_b = _raw_gradients(
                 P, lam, Q, bviews, Y[idx], config.C_p, config.C_q, config.link
             )

@@ -618,6 +618,18 @@ REJECTED = [
       for key in ("homogenize", "shuffle")],
     ("gradcheck-h", {"cfg.json": '{"h": 1e-6}'}, GRADCHECK_ARGS,
      r"^error: unknown gradcheck config key 'h'; only 'grid' is read$"),
+    ("generate-misspelt-key", {"cfg.json": '{"generator": {"degre": 3, "m": 10}}'},
+     GENERATE_ARGS, r"^error: unknown generator config key 'degre'; known keys: type, n, "
+     r"degree, rank, m, test_m, noise, seed, function$"),
+    *[(f"benchmark-{section}-misspelt-key", {"cfg.json": one_point_sweep(name, value, [section])},
+       BENCH_ARGS, rf"^error: unknown benchmark {section} key {key!r}; known keys: {known}$")
+      for section, name, value, key, known in (
+          ("krr", "krr.ridg", 1e-6, "ridg", "bias, ridge"),
+          ("fm", "fm.step", 10, "step", "steps, learning_rate, restarts, seed"))],
+    *[(f"gradcheck-grid-multiview-{case}", {"cfg.json": json.dumps({"grid": [[1, 1, mv]]})},
+       GRADCHECK_ARGS,
+       rf"^error: grid multiview must be true, false, 0 or 1, got {re.escape(repr(mv))}$")
+      for case, mv in (("string", "false"), ("two", 2), ("float", 1.0), ("null", None))],
     ("benchmark-base-fraction",
      {"cfg.json": json.dumps({"sweep": {"variable": "noise", "values": [0.0]},
                               "base": {"n": 3.5, "degree": 2, "rank": 2, "m": 50}})},

@@ -15,7 +15,13 @@ from tensorpoly import (
     tensor_contract,
 )
 from tensorpoly.metrics import rmse
-from tensorpoly.model import forward_terms, hadamard_partials, homogenize, z_factors
+from tensorpoly.model import (
+    forward_terms,
+    hadamard_partials,
+    homogenize,
+    resolve_views,
+    z_factors,
+)
 
 from helpers import loop_forward, predict_point, random_model
 
@@ -164,6 +170,44 @@ class TestForwardPartial:
                 for k in (0, 2, 3):  # skip factor index 1 (1-based: 2)
                     expected *= float(np.dot(model.P[k][t], X[i]))
                 assert abs(part[i, t] - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+class TestKernels:
+    @pytest.mark.parametrize("n_t", [1, 3])
+    @pytest.mark.parametrize("m", [0, 7])
+    @pytest.mark.parametrize("layout", ["shared", "distinct", "aba"])
+    def test_z_factors_against_per_factor_products(self, n_t, m, layout):
+        rng = np.random.default_rng(31)
+        A, B = rng.standard_normal((m, 4)), rng.standard_normal((m, 5))
+        views = {"shared": [A] * 3, "distinct": [A, A.copy(), A.copy()], "aba": [A, B, A]}[layout]
+        P = [rng.standard_normal((n_t, V.shape[1])) for V in views]
+        Z = z_factors(P, views)
+        for V, Pd, Zd in zip(views, P, Z):
+            expected = V @ Pd.T
+            assert Zd.shape == (m, n_t)
+            assert np.all(np.abs(Zd - expected) <= 1e-12 * np.max(np.abs(expected), initial=1.0))
+
+    @pytest.mark.parametrize("n_d", [1, 2, 3, 4, 5])
+    def test_hadamard_partials_against_leave_one_out_loop(self, n_d):
+        rng = np.random.default_rng(n_d)
+        Z = [rng.standard_normal((6, 3)) for _ in range(n_d)]
+        parts = hadamard_partials(Z)
+        for d in range(n_d):
+            # the factors before d multiplied from the left, those after d from the right
+            left, right = np.ones((6, 3)), np.ones((6, 3))
+            for k in range(d):
+                left = left * Z[k]
+            for k in range(n_d - 1, d, -1):
+                right = right * Z[k]
+            assert np.array_equal(parts[d], left * right)
+
+    def test_shared_integer_view_is_converted_once(self):
+        rng = np.random.default_rng(8)
+        model = random_model(rng, n=4, n_d=3, n_t=2)
+        X = rng.integers(-5, 5, (12, 4))
+        views = resolve_views([X], model.n_d, model.dims)
+        assert all(V is views[0] for V in views)
+        assert np.array_equal(predict(model, X), predict(model, X.astype(float)))
 
 
 class TestDenseTensorOracle:

@@ -553,6 +553,19 @@ class TestTrainingInvariants:
         for a, b in zip(norms, norms[1:]):
             assert b <= a + 1e-12
 
+    @pytest.mark.parametrize("mode,n_y", [("joint", 3), ("rank_wise", 1), ("layered", 1)])
+    def test_shared_view_matches_distinct_copies(self, mode, n_y):
+        rng = np.random.default_rng(12)
+        X = rng.standard_normal((300, 4))
+        Y = rng.standard_normal((300, n_y))
+        cfg = TrainConfig(n_d=3, n_t=2, epochs=3, batch_size=64, learning_rate=0.05,
+                          mode=mode, rank_blocks=[1, 1] if mode == "layered" else None, seed=2)
+        shared, shared_report = fit(Dataset(views=[X], Y=Y), cfg)
+        copies, copies_report = fit(Dataset(views=[X, X.copy(), X.copy()], Y=Y), cfg)
+        assert np.allclose(predict(shared, X), predict(copies, [X] * 3), rtol=1e-12, atol=0)
+        assert np.allclose(shared_report.loss_traces, copies_report.loss_traces,
+                           rtol=1e-12, atol=0)
+
     def test_shuffle_false_is_sequential_and_deterministic(self):
         ds = quadratics_dataset("xy", 300, seed=2)
         cfg = TrainConfig(n_d=2, n_t=1, epochs=3, batch_size=64,
