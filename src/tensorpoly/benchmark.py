@@ -15,6 +15,7 @@ import numpy as np
 
 from . import baselines
 from .datagen import GeneratorSpec, generate_model, sample_dataset
+from .io import RUN_CONFIG, check_config
 from .metrics import _stderr, cross_validate
 from .model import integral, predict, real
 from .training import TrainConfig, fit
@@ -120,6 +121,7 @@ def run_benchmark(cfg):
 
     Rows are (learner, variable, value, metric, mean, stderr, status).
     """
+    check_config(cfg, RUN_CONFIG)
     sweep = cfg.get("sweep")
     if not sweep or "variable" not in sweep or "values" not in sweep:
         raise ValueError("benchmark config needs sweep.variable and sweep.values")
@@ -140,12 +142,6 @@ def run_benchmark(cfg):
             name in LEARNERS for name in learners):
         raise ValueError(f"benchmark learners must be a non-empty list of names from "
                          f"{LEARNERS}, got {learners!r}")
-    for section, known in (("krr", ("bias", "ridge")),
-                           ("fm", ("steps", "learning_rate", "restarts", "seed"))):
-        for key in cfg.get(section, {}):
-            if key not in known:
-                raise ValueError(f"unknown benchmark {section} key {key!r}; known keys: "
-                                 f"{', '.join(known)}")
     fm = cfg.get("fm", {})
     for name, value, low in (  # counts and seeds outside the sweep; none is truncated
         ("base.seed", cfg["base"].get("seed", 0), 0),

@@ -17,7 +17,7 @@ import sys
 from . import gradcheck as gradcheck_mod
 from . import io as tio
 from .benchmark import run_benchmark
-from .datagen import GeneratorSpec, generate_model, sample_dataset, quadratics_dataset, QUADRATIC_FUNCTIONS
+from .datagen import GeneratorSpec, generate_model, sample_dataset, quadratics_dataset
 from .metrics import accuracy, column_scores, f1_multilabel, top_k_binarize
 from .model import Dataset, integral, predict
 from .training import TrainConfig, TrainingDivergedError, fit
@@ -27,21 +27,15 @@ class CliError(Exception):
     """A usage or input error: `main` prints its one-line message and returns 2."""
 
 
-def _load_config(path, sections=()):
-    """The JSON object in ``path``; each named section, if present, must be an object too."""
+def _load_config(path, schema=tio.RUN_CONFIG):
+    """The JSON object in ``path``, checked against ``schema`` by `io.check_config`."""
     if path is None:
         return {}
     try:
         cfg = tio.read_json(path)
-    except FileNotFoundError:
-        raise CliError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise CliError(f"config file {path} is not valid JSON: {exc}")
-    if not isinstance(cfg, dict):
-        raise CliError(f"config file {path} must hold a JSON object, got {type(cfg).__name__}")
-    for name in sections:
-        if not isinstance(cfg.get(name, {}), dict):
-            raise CliError(f"config section {name!r} in {path} must be a JSON object")
+    tio.check_config(cfg, schema)
     return cfg
 
 
@@ -70,20 +64,13 @@ def _out_path(args, name):
     return os.path.join(out_dir, name)
 
 
-GENERATOR_KEYS = ("type", "n", "degree", "rank", "m", "test_m", "noise", "seed", "function")
-
-
 def cmd_generate(args):
-    cfg = _load_config(args.config, ("generator",))
+    cfg = _load_config(args.config)
     gen = _apply_overrides(
         cfg.get("generator", {}),
         args,
         {"seed": "seed", "degree": "degree", "rank": "rank"},
     )
-    for key in gen:
-        if key not in GENERATOR_KEYS:
-            raise CliError(f"unknown generator config key {key!r}; known keys: "
-                           f"{', '.join(GENERATOR_KEYS)}")
     gtype = gen.get("type", "random")
     m = integral("m", gen.get("m", 1000))
     test_m = integral("test_m", gen.get("test_m", m))
@@ -107,8 +94,6 @@ def cmd_generate(args):
         tio.save_model(true_model_file, model)
     elif gtype == "quadratics":
         fn = gen.get("function", "xy")
-        if not isinstance(fn, str) or fn not in QUADRATIC_FUNCTIONS:
-            raise CliError(f"unknown quadratics function {fn!r}")
         train = quadratics_dataset(fn, m, seed=seed)
         test = quadratics_dataset(fn, test_m, seed=test_seed)
     else:
@@ -131,6 +116,11 @@ def cmd_generate(args):
 
 def _read_training_data(args, cfg):
     data_cfg = cfg.get("data", {})
+    for key, value in data_cfg.items():
+        paths = value if key == "views" else [value]
+        if not isinstance(paths, list) or not paths or not all(isinstance(p, str) for p in paths):
+            kind = "a non-empty list of paths" if key == "views" else "a path"
+            raise CliError(f"data.{key} must be {kind}, got {value!r}")
     data_path = args.data or data_cfg.get("train")
     view_paths = args.views or data_cfg.get("views")
     labels_path = args.labels or data_cfg.get("labels")
@@ -147,8 +137,6 @@ def _read_training_data(args, cfg):
 
 def _read_csv_checked(path, need):
     """``(X, Y)`` of the CSV at ``path``; each column group in ``need`` ("x", "y") must be present."""
-    if not os.path.exists(path):
-        raise CliError(f"dataset file not found: {path}")
     X, Y = tio.read_dataset_csv(path)
     for group, A in zip("xy", (X, Y)):
         if group in need and A is None:
@@ -157,13 +145,9 @@ def _read_csv_checked(path, need):
 
 
 def cmd_train(args):
-    cfg = _load_config(args.config, ("data", "train"))
+    cfg = _load_config(args.config)
     dataset = _read_training_data(args, cfg)
-    train_cfg = _apply_overrides(cfg.get("train", {}), args, TRAIN_OVERRIDES)
-    try:
-        config = TrainConfig(**train_cfg)
-    except TypeError as exc:
-        raise CliError(f"bad train config: {exc}")
+    config = TrainConfig(**_apply_overrides(cfg.get("train", {}), args, TRAIN_OVERRIDES))
     try:
         model, report = fit(dataset, config)
     except TrainingDivergedError as exc:
@@ -178,8 +162,6 @@ def cmd_train(args):
 
 
 def cmd_predict(args):
-    if not os.path.exists(args.model):
-        raise CliError(f"model file not found: {args.model}")
     model = tio.load_model(args.model)
     if args.views:
         views = [_read_csv_checked(p, "x")[0] for p in args.views]
@@ -224,7 +206,7 @@ def cmd_evaluate(args):
 
 
 def cmd_benchmark(args):
-    cfg = _load_config(args.config, ("base", "sweep", "train", "krr", "fm"))
+    cfg = _load_config(args.config)
     base = _apply_overrides(
         cfg.get("base", {}), args, {"seed": "seed", "degree": "degree", "rank": "rank"}
     )
@@ -233,10 +215,7 @@ def cmd_benchmark(args):
     cfg["train"] = _apply_overrides(
         cfg.get("train", {}), args, {"epochs": "epochs", "batch": "batch_size", "lr": "learning_rate"}
     )
-    try:
-        rows, plot_data = run_benchmark(cfg)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    rows, plot_data = run_benchmark(cfg)
     buf = _stdio.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["learner", "variable", "value", "metric", "mean", "stderr", "status"])
@@ -259,10 +238,7 @@ def _flag(name, value):
 
 
 def cmd_gradcheck(args):
-    cfg = _load_config(args.config)
-    for key in cfg:
-        if key != "grid":
-            raise CliError(f"unknown gradcheck config key {key!r}; only 'grid' is read")
+    cfg = _load_config(args.config, {"grid": None})
     grid = cfg.get("grid")
     if grid is not None:
         if not isinstance(grid, list) or not grid or not all(
@@ -365,7 +341,7 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return COMMANDS[args.command](args)
-    except (CliError, FileNotFoundError, ValueError) as exc:
+    except (CliError, OSError, ValueError) as exc:  # OSError: any file error names its path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -70,7 +70,7 @@ def quadratics_dataset(which, m, seed=0):
     ``xy`` is x*y, ``sq_diff`` is (x-y)^2, ``diff_sq`` is x^2-y^2; the
     outputs are exact (no noise).
     """
-    if which not in QUADRATIC_FUNCTIONS:
+    if not isinstance(which, str) or which not in QUADRATIC_FUNCTIONS:
         raise ValueError(f"unknown function {which!r}, pick from {sorted(QUADRATIC_FUNCTIONS)}")
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((m, 2))

@@ -15,12 +15,27 @@ import os
 import re
 import tempfile
 import warnings
+from dataclasses import fields
 
 import numpy as np
 
 from .model import LtrModel
+from .training import TrainConfig
 
 MODEL_SCHEMA_VERSION = 1
+
+# The keys a run config may hold: a section maps to its known keys, a plain
+# value to None. `generate --config` also re-runs from a manifest's keys.
+RUN_CONFIG = {
+    "generator": ("type", "n", "degree", "rank", "m", "test_m", "noise", "seed", "function"),
+    "data": ("train", "views", "labels"),
+    "train": tuple(f.name for f in fields(TrainConfig)),
+    "base": ("n", "degree", "rank", "m", "noise", "seed"),
+    "sweep": ("variable", "values"),
+    "krr": ("bias", "ridge"),
+    "fm": ("steps", "learning_rate", "restarts", "seed"),
+    **dict.fromkeys(("learners", "folds", "schema_version", "files", "true_model")),
+}
 
 
 def _atomic_write(path, text):
@@ -123,6 +138,18 @@ def model_from_dict(d):
         homogenized=bool(d["homogenized"]),
         link=d.get("link", "identity"),
     )
+
+
+def check_config(cfg, schema, where="config"):
+    """A ValueError unless ``cfg`` is an object of keys in ``schema`` whose
+    sections (the keys that map to a tuple) are objects of keys in that tuple."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(cfg).__name__}")
+    for key, value in cfg.items():
+        if key not in schema:
+            raise ValueError(f"unknown {where} key {key!r}; known keys: {', '.join(schema)}")
+        if schema[key] is not None:
+            check_config(value, dict.fromkeys(schema[key]), f"{key} section")
 
 
 def jsonable(obj):

@@ -176,7 +176,15 @@ class Dataset:
 
     def take(self, idx):
         """Row-subset dataset; serves the cross-validation folds."""
-        return Dataset(views=[V[idx] for V in self.views], Y=self.Y[idx])
+        return Dataset(views=take_rows(self.views, idx), Y=self.Y[idx])
+
+
+def take_rows(views, idx):
+    """Rows ``idx`` of each view, gathered once per distinct view object, so
+    factors that share a view share its batch (and one `z_factors` product)."""
+    distinct = {id(V): V for V in views}
+    taken = {key: V[idx] for key, V in distinct.items()}
+    return [taken[id(V)] for V in views]
 
 
 def resolve_views(views, n_d, dims=None):

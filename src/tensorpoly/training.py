@@ -32,6 +32,7 @@ from .model import (
     real,
     resolve_views,
     sigmoid,
+    take_rows,
 )
 
 MODES = ("rank_wise", "joint", "layered")
@@ -95,7 +96,8 @@ class TrainConfig:
             raise ValueError(f"unknown link {self.link!r}")
         if self.mode == "layered":
             blocks = self.rank_blocks
-            if not blocks or not all(isinstance(b, numbers.Integral) and b >= 1 for b in blocks):
+            if not isinstance(blocks, (list, tuple)) or not blocks or not all(
+                    isinstance(b, numbers.Integral) and b >= 1 for b in blocks):
                 raise ValueError("layered mode needs rank_blocks of integers >= 1")
             if sum(blocks) != self.n_t:
                 raise ValueError("rank_blocks must sum to n_t")
@@ -241,16 +243,6 @@ def adam_step(
     return params, state
 
 
-def _take_rows(views, idx):
-    """Rows ``idx`` of each view, gathered once per distinct view object, so
-    factors that share a view share its batch (and one `z_factors` product)."""
-    taken = {}
-    for V in views:
-        if id(V) not in taken:
-            taken[id(V)] = V[idx]
-    return [taken[id(V)] for V in views]
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _fit_block(views, Y, n_t, config, rng, phase):
     """Fit one block of ``n_t`` terms on (views, Y) by mini-batch ADAM.
@@ -277,7 +269,7 @@ def _fit_block(views, Y, n_t, config, rng, phase):
         for start in range(0, m, B):
             stop = min(start + B, m)
             idx = order[start:stop] if order is not None else slice(start, stop)
-            bviews = _take_rows(views, idx)
+            bviews = take_rows(views, idx)
             grads_b = _raw_gradients(
                 P, lam, Q, bviews, Y[idx], config.C_p, config.C_q, config.link
             )

@@ -14,6 +14,8 @@ import pytest
 from tensorpoly import Dataset, LtrModel, TrainConfig, benchmark, fit, predict, quadratics_dataset
 from tensorpoly.cli import main
 from tensorpoly.io import (
+    RUN_CONFIG,
+    check_config,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -406,16 +408,18 @@ class TestBenchmark:
         assert by_learner["lr"][3.0] <= by_learner["lr"][1.0] - 0.2
         assert by_learner["lr"][2.0] <= by_learner["ltr"][2.0] - 0.2
 
-    @pytest.mark.parametrize("train, sweep", [
-        ({"epoch": 3}, {"variable": "degree", "values": [1, 2]}),
+    @pytest.mark.parametrize("train, sweep, message", [
+        ({"epoch": 3}, {"variable": "degree", "values": [1, 2]},
+         r"^unknown train section key 'epoch'; known keys: n_d, n_t, "),
         # valid at rank 2, invalid at rank 3: the first point must not be fitted either
-        ({"mode": "layered", "rank_blocks": [1, 1]}, {"variable": "rank", "values": [2, 3]}),
+        ({"mode": "layered", "rank_blocks": [1, 1]}, {"variable": "rank", "values": [2, 3]},
+         r"^benchmark config at rank=3: rank_blocks must sum to n_t$"),
     ], ids=["unknown-key", "second-point"])
-    def test_bad_train_section_raises_before_any_fit(self, monkeypatch, train, sweep):
+    def test_bad_train_section_raises_before_any_fit(self, monkeypatch, train, sweep, message):
         calls = []
         monkeypatch.setattr(benchmark, "fit", lambda *a, **k: calls.append(a))
         cfg = self.bench_config() | {"train": train, "sweep": sweep}
-        with pytest.raises(ValueError, match="benchmark config at"):
+        with pytest.raises(ValueError, match=message):
             benchmark.run_benchmark(cfg)
         assert calls == []
 
@@ -507,6 +511,12 @@ NO_BASE = json.dumps({"sweep": {"variable": "degree", "values": [1]}})
 TRAIN_CFG_ARGS = TRAIN_ARGS + ["--config", "{dir}/cfg.json"]
 XY_CSV = "x1,x2,y\n1,2,2\n3,4,12\n"
 GRADCHECK_ARGS = ["gradcheck", "--config", "{dir}/cfg.json"]
+TRAIN_FROM_CONFIG_ARGS = ["train", "--config", "{dir}/cfg.json", "--epochs", "1",
+                          "--out", "{dir}/out"]
+TOP_LEVEL_KEYS = ("generator, data, train, base, sweep, krr, fm, learners, folds, schema_version, "
+                  "files, true_model")
+TRAIN_KEYS = ("n_d, n_t, C_p, C_q, learning_rate, epochs, batch_size, adam_beta1, adam_beta2, "
+              "adam_eps, mode, rank_blocks, link, seed, shuffle, homogenize")
 
 
 def one_point_sweep(name, value, learners=("ltr", "lr")):
@@ -541,15 +551,15 @@ REJECTED = [
     ("model-json-list", {"model.json": "[]", "in.csv": "x1,x2\n1,2\n"}, PREDICT_ARGS,
      r"model file must hold a JSON object, got list"),
     ("train-config-list", {"cfg.json": "[]", "in.csv": XY_CSV}, TRAIN_CFG_ARGS,
-     r"cfg\.json must hold a JSON object, got list"),
+     r"^error: config must be a JSON object, got list$"),
     ("benchmark-config-string", {"cfg.json": '"x"'}, BENCH_ARGS,
-     r"cfg\.json must hold a JSON object, got str"),
+     r"^error: config must be a JSON object, got str$"),
     ("train-section-number", {"cfg.json": '{"train": 5}', "in.csv": XY_CSV}, TRAIN_CFG_ARGS,
-     r"config section 'train' in \S*cfg\.json must be a JSON object"),
+     r"^error: train section must be a JSON object, got int$"),
     ("generator-section-list", {"cfg.json": '{"generator": []}'}, GENERATE_ARGS,
-     r"config section 'generator' in \S*cfg\.json must be a JSON object"),
+     r"^error: generator section must be a JSON object, got list$"),
     ("benchmark-base-list", {"cfg.json": json.dumps({"base": [], **json.loads(NO_BASE)})},
-     BENCH_ARGS, r"config section 'base' in \S*cfg\.json must be a JSON object"),
+     BENCH_ARGS, r"^error: base section must be a JSON object, got list$"),
     ("train-lr-nan", {"in.csv": XY_CSV}, TRAIN_ARGS + ["--lr", "nan"],
      r"learning_rate must be a finite number, got nan"),
     ("train-n_d-fraction", {"cfg.json": '{"train": {"n_d": 2.5}}', "in.csv": XY_CSV},
@@ -601,31 +611,61 @@ REJECTED = [
     *[(f"benchmark-{case}", {"cfg.json": one_point_sweep(name, value, learners)}, BENCH_ARGS,
        rf"^error: benchmark config at degree=1: {message}$")
       for case, name, value, learners, message in (
-          ("train-unknown-key", "train.epoch", 3, ["ltr"],
-           r"TrainConfig.__init__\(\) got an unexpected keyword argument 'epoch'"),
           ("krr-string", "krr.ridge", "x", ["krr"], r"krr\.ridge must be a finite number, got 'x'"),
           ("fm-string", "fm.learning_rate", "fast", ["fm"],
            r"fm\.learning_rate must be a finite number, got 'fast'"),
           ("noise-list", "base.noise", [1], ["lr"],
            r"noise_level must be a finite number, got \[1\]"))],
+    ("benchmark-train-unknown-key", {"cfg.json": one_point_sweep("train.epoch", 3, ["ltr"])},
+     BENCH_ARGS, rf"^error: unknown train section key 'epoch'; known keys: {TRAIN_KEYS}$"),
     ("generate-noise-list", {"cfg.json": '{"generator": {"noise": [1]}}'}, GENERATE_ARGS,
      r"^error: noise_level must be a finite number, got \[1\]$"),
     ("generate-quadratics-function-list",
      {"cfg.json": '{"generator": {"type": "quadratics", "function": ["xy"]}}'}, GENERATE_ARGS,
-     r"^error: unknown quadratics function \['xy'\]$"),
+     r"^error: unknown function \['xy'\], pick from \['diff_sq', 'sq_diff', 'xy'\]$"),
     *[(f"train-{key}-string", {"cfg.json": json.dumps({"train": {key: "false"}}), "in.csv": XY_CSV},
        TRAIN_CFG_ARGS, rf"^error: {key} must be true or false, got 'false'$")
       for key in ("homogenize", "shuffle")],
     ("gradcheck-h", {"cfg.json": '{"h": 1e-6}'}, GRADCHECK_ARGS,
-     r"^error: unknown gradcheck config key 'h'; only 'grid' is read$"),
+     r"^error: unknown config key 'h'; known keys: grid$"),
     ("generate-misspelt-key", {"cfg.json": '{"generator": {"degre": 3, "m": 10}}'},
-     GENERATE_ARGS, r"^error: unknown generator config key 'degre'; known keys: type, n, "
+     GENERATE_ARGS, r"^error: unknown generator section key 'degre'; known keys: type, n, "
      r"degree, rank, m, test_m, noise, seed, function$"),
     *[(f"benchmark-{section}-misspelt-key", {"cfg.json": one_point_sweep(name, value, [section])},
-       BENCH_ARGS, rf"^error: unknown benchmark {section} key {key!r}; known keys: {known}$")
+       BENCH_ARGS, rf"^error: unknown {section} section key {key!r}; known keys: {known}$")
       for section, name, value, key, known in (
           ("krr", "krr.ridg", 1e-6, "ridg", "bias, ridge"),
-          ("fm", "fm.step", 10, "step", "steps, learning_rate, restarts, seed"))],
+          ("fm", "fm.step", 10, "step", "steps, learning_rate, restarts, seed"),
+          ("base", "base.nosie", 0.5, "nosie", "n, degree, rank, m, noise, seed"),
+          ("sweep", "sweep.extra", 1, "extra", "variable, values"))],
+    ("train-misspelt-top-level-key",
+     {"cfg.json": '{"trian": {"epochs": 1}}', "in.csv": XY_CSV}, TRAIN_CFG_ARGS,
+     rf"^error: unknown config key 'trian'; known keys: {TOP_LEVEL_KEYS}$"),
+    *[(f"benchmark-misspelt-top-level-{key}", {"cfg.json": one_point_sweep(key, value)},
+       BENCH_ARGS, rf"^error: unknown config key '{key}'; known keys: {TOP_LEVEL_KEYS}$")
+      for key, value in (("lerners", ["krr"]), ("flods", 3))],
+    ("train-data-misspelt-key", {"cfg.json": '{"data": {"tset": "x"}}', "in.csv": XY_CSV},
+     TRAIN_CFG_ARGS, r"^error: unknown data section key 'tset'; known keys: train, views, labels$"),
+    *[(f"train-data-{case}", {"cfg.json": json.dumps({"data": data})}, TRAIN_FROM_CONFIG_ARGS,
+       rf"^error: data\.{key} must be {kind}, got {re.escape(repr(data[key]))}$")
+      for case, data, key, kind in (
+          ("views-string", {"views": "d/train.csv", "labels": "y.csv"}, "views",
+           "a non-empty list of paths"),
+          ("views-empty", {"views": [], "labels": "y.csv"}, "views", "a non-empty list of paths"),
+          ("train-list", {"train": ["d/train.csv"]}, "train", "a path"),
+          ("train-number", {"train": 2}, "train", "a path"),
+          ("labels-null", {"views": ["v.csv"], "labels": None}, "labels", "a path"))],
+    ("train-rank_blocks-int",
+     {"cfg.json": '{"train": {"mode": "layered", "rank_blocks": 5}}', "in.csv": XY_CSV},
+     TRAIN_CFG_ARGS, r"^error: layered mode needs rank_blocks of integers >= 1$"),
+    # every file error exits 2 and names the path: a directory or a missing file
+    *[(f"{flag[2:]}-{case}", {"in.csv": XY_CSV, "model.json": xy_model_json(), "dir/x": ""},
+       [a if a != path else f"{{dir}}/{name}" for a in argv],
+       rf"^error: \[Errno {errno}\] [^:]*: '\S*/{name}'$")
+      for flag, argv, path in (("--config", TRAIN_CFG_ARGS, "{dir}/cfg.json"),
+                               ("--data", TRAIN_ARGS, "{dir}/in.csv"),
+                               ("--model", PREDICT_ARGS, "{dir}/model.json"))
+      for case, name, errno in (("directory", "dir", 21), ("missing", "nope.json", 2))],
     *[(f"gradcheck-grid-multiview-{case}", {"cfg.json": json.dumps({"grid": [[1, 1, mv]]})},
        GRADCHECK_ARGS,
        rf"^error: grid multiview must be true, false, 0 or 1, got {re.escape(repr(mv))}$")
@@ -660,6 +700,7 @@ ACCEPTED = [
 
 def run_cli(tmp_path, files, argv):
     for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
         (tmp_path / name).write_bytes(text.encode())
     return main([a.format(dir=tmp_path) for a in argv])
 
@@ -691,6 +732,22 @@ class TestInputContract:
         _, Y = read_dataset_csv(tmp_path / "out" / "predictions.csv")
         assert Y.shape == (len(expected), 1)
         assert Y[:, 0].tolist() == expected
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_run_config_passes_the_key_table():
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    check_config(json.loads(blocks[0]), RUN_CONFIG)
+
+
+def test_readme_lists_the_known_keys_of_each_section():
+    table = README.read_text().split("| section | known keys |")[1].split("\n\n")[0]
+    listed = {section: tuple(re.findall(r"`(\w+)`", keys))
+              for section, keys in re.findall(r"^\| `(\w+)` \| (.*) \|$", table, re.M)}
+    assert listed == {key: known for key, known in RUN_CONFIG.items() if known is not None}
 
 
 def csv_writer_reference(header, rows):

@@ -320,6 +320,19 @@ class TestConcurrentEvaluation:
             assert np.array_equal(got, expected)
 
 
+class TestTake:
+    def test_shared_view_is_taken_once(self):
+        X = np.arange(12.0).reshape(6, 2)
+        idx = np.array([4, 1, 2])
+        shared = Dataset(views=[X, X, X], Y=np.zeros(6)).take(idx)
+        assert shared.views[0] is shared.views[1] is shared.views[2]
+        mixed = Dataset(views=[X, -X, X], Y=np.zeros(6)).take(idx)
+        assert mixed.views[0] is mixed.views[2]
+        assert mixed.views[1] is not mixed.views[0]
+        assert np.array_equal(mixed.views[0], X[idx])
+        assert np.array_equal(mixed.views[1], -X[idx])
+
+
 class TestValidation:
     def test_model_shape_validation(self):
         with pytest.raises(ValueError):
