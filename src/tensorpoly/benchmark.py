@@ -151,6 +151,7 @@ def run_benchmark(cfg):
         ("fm.seed", fm.get("seed", 0), 0),
     ):
         integral(f"benchmark {name}", value, low)
+    folds = cfg.get("folds", 2)
     points = []  # every point's data spec and learners, built before the first fit
     for index, value in enumerate(values):
         params = _point_params(cfg["base"], variable, value)
@@ -161,11 +162,12 @@ def run_benchmark(cfg):
             spec = GeneratorSpec(n=params["n"], n_d=params["degree"], n_t=params["rank"],
                                  m=params["m"], noise_level=params.get("noise", 0.0),
                                  seed=model_seed)
+            if spec.m < folds:
+                raise ValueError(f"folds={folds} is more than the m={spec.m} examples")
             built = [(name, _build_learner(name, params, cfg)) for name in learners]
         except (TypeError, ValueError) as exc:
             raise ValueError(f"benchmark config at {variable}={value!r}: {exc}") from exc
         points.append((value, spec, data_seed, fold_seed, built))
-    folds = cfg.get("folds", 2)
     workers = max(1, int(os.environ.get(THREADS_ENV, "1")))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         per_point = list(pool.map(lambda point: _run_point(point, variable, folds), points))

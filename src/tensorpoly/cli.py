@@ -72,6 +72,9 @@ def cmd_generate(args):
         {"seed": "seed", "degree": "degree", "rank": "rank"},
     )
     gtype = gen.get("type", "random")
+    if not isinstance(gtype, str) or gtype not in tio.GENERATOR_KEYS:
+        raise CliError(f"unknown generator type {gtype!r}")
+    tio.check_config(gen, dict.fromkeys(tio.GENERATOR_KEYS[gtype]), f"{gtype} generator")
     m = integral("m", gen.get("m", 1000))
     test_m = integral("test_m", gen.get("test_m", m))
     seed = integral("seed", gen.get("seed", 0), 0)
@@ -92,12 +95,10 @@ def cmd_generate(args):
         test = sample_dataset(model, test_m, spec.noise_level, seed=test_seed)
         true_model_file = _out_path(args, "true_model.json")
         tio.save_model(true_model_file, model)
-    elif gtype == "quadratics":
+    else:
         fn = gen.get("function", "xy")
         train = quadratics_dataset(fn, m, seed=seed)
         test = quadratics_dataset(fn, test_m, seed=test_seed)
-    else:
-        raise CliError(f"unknown generator type {gtype!r}")
 
     train_file = _out_path(args, "train.csv")
     test_file = _out_path(args, "test.csv")

@@ -24,10 +24,13 @@ from .training import TrainConfig
 
 MODEL_SCHEMA_VERSION = 1
 
+# generator type -> the generator keys it reads; `generate` rejects any other
+GENERATOR_KEYS = {"random": ("type", "n", "degree", "rank", "m", "test_m", "noise", "seed"),
+                  "quadratics": ("type", "m", "test_m", "seed", "function")}
 # The keys a run config may hold: a section maps to its known keys, a plain
 # value to None. `generate --config` also re-runs from a manifest's keys.
 RUN_CONFIG = {
-    "generator": ("type", "n", "degree", "rank", "m", "test_m", "noise", "seed", "function"),
+    "generator": tuple(dict.fromkeys(GENERATOR_KEYS["random"] + GENERATOR_KEYS["quadratics"])),
     "data": ("train", "views", "labels"),
     "train": tuple(f.name for f in fields(TrainConfig)),
     "base": ("n", "degree", "rank", "m", "noise", "seed"),

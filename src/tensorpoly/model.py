@@ -22,8 +22,6 @@ import numpy as np
 # anything bigger than this entry count is refused.
 ORACLE_SIZE_CAP = 10_000_000
 
-LINKS = ("identity", "logistic")
-
 
 def _as_float_matrix(X, name="X"):
     A = np.asarray(X, dtype=float)
@@ -95,7 +93,7 @@ class LtrModel:
                 raise ValueError(f"P[{d}] has {Pd.shape[0]} rows, expected n_t={n_t}")
         if self.Q.shape[0] != n_t:
             raise ValueError(f"Q has {self.Q.shape[0]} rows, expected n_t={n_t}")
-        if self.link not in LINKS:
+        if not isinstance(self.link, str) or self.link not in LINKS:
             raise ValueError(f"unknown link {self.link!r}")
         for arr in (*self.P, self.Q, self.lam):
             if not np.all(np.isfinite(arr)):
@@ -279,6 +277,13 @@ def sigmoid(u):
     return out
 
 
+# link -> (mean of a pre-link output U, summed data loss of Y at U; logistic: stable NLL)
+LINKS = {
+    "identity": (lambda U: U, lambda Y, U: 0.5 * float(np.sum((Y - U) ** 2))),
+    "logistic": (sigmoid, lambda Y, U: float(np.sum(np.logaddexp(0.0, U) - Y * U))),
+}
+
+
 def predict(model, views):
     """Predictions of ``model`` on a matrix or a list of views: (m, n_y), m may be 0.
 
@@ -293,7 +298,7 @@ def predict(model, views):
                  for V, width in zip(views, model.dims)]
     views = resolve_views(views, model.n_d, model.dims)
     _, _, raw = forward_terms(model.P, model.lam, model.Q, views)
-    return sigmoid(raw) if model.link == "logistic" else raw
+    return LINKS[model.link][0](raw)
 
 
 def materialize_tensor(model):

@@ -2,12 +2,13 @@
 
 `fit` is the one entry point and runs one loop over blocks of rank-one
 terms. Each block is initialized and trained by epochs of shuffled
-mini-batches with ADAM updates, against the residual the earlier blocks
-left; a block that raises the training sum of squares is zeroed out.
+mini-batches with ADAM updates, with the earlier blocks' summed output
+as a fixed offset inside the link (`model.LINKS`: identity for
+regression, logistic for {0,1} labels, in every mode); a block that
+raises the training data loss is zeroed out.
 
 * ``joint`` is a single block of all ``n_t`` terms on the matrix
-  objective; supports vector outputs and multi-view inputs. With
-  ``link="logistic"`` it is the classifier on binary {0,1} labels.
+  objective; supports vector outputs and multi-view inputs.
 * ``layered`` fits ``rank_blocks`` in turn and records the correlation
   ratio of per-layer predictions.
 * ``rank_wise`` fits one-term blocks (scalar outputs only).
@@ -31,7 +32,6 @@ from .model import (
     integral,
     real,
     resolve_views,
-    sigmoid,
     take_rows,
 )
 
@@ -92,7 +92,7 @@ class TrainConfig:
             raise ValueError("adam_eps must be positive")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.link not in LINKS:
+        if not isinstance(self.link, str) or self.link not in LINKS:
             raise ValueError(f"unknown link {self.link!r}")
         if self.mode == "layered":
             blocks = self.rank_blocks
@@ -124,11 +124,12 @@ class FitReport:
 
     ``loss_traces`` holds one per-epoch trace per phase (one phase for
     joint fits, one per rank or block otherwise). ``residual_norms``
-    starts with the initial output norm and appends the training
-    residual norm after each block, so it never increases; it is empty
-    with the logistic link. ``eta_squared[b]`` is the correlation ratio
-    of per-layer training predictions over layers 1..b+1 (layered mode
-    only). ``report.json`` is these fields, in this order.
+    holds ``||Y - mean(offset)||`` before and after each block, with the
+    link's ``mean`` and the blocks' summed pre-link output ``offset``;
+    with the identity link it never increases, with the logistic link
+    the training NLL never increases instead. ``eta_squared[b]`` is the
+    correlation ratio of per-layer training predictions over layers
+    1..b+1 (layered mode only). ``report.json`` is these fields, in order.
     """
 
     mode: str
@@ -139,19 +140,13 @@ class FitReport:
     final_lambda: np.ndarray = None
 
 
-def _raw_loss(P, lam, Q, views, Y, C_p, C_q, link):
-    """``(loss, raw)``: the regularized objective and the pre-link output it was taken on."""
+def _raw_loss(P, lam, Q, views, Y, offset, C_p, C_q, link):
+    """``(loss, raw)``: the regularized objective at ``offset + raw``, and ``raw``."""
     m, n_y = Y.shape
     n_t = lam.shape[0]
     n_d = len(P)
     _, _, raw = forward_terms(P, lam, Q, views)
-    if link == "identity":
-        E = Y - raw
-        data = float(np.sum(E * E)) / (2.0 * m * n_y)
-    else:
-        # mean Bernoulli NLL with logits, computed stably
-        nll = np.logaddexp(0.0, raw) - Y * raw
-        data = float(np.sum(nll)) / (m * n_y)
+    data = LINKS[link][1](Y, offset + raw) / (m * n_y)
     reg_p = 0.0
     for Pd in P:
         reg_p += float(np.sum(Pd * Pd)) / Pd.shape[1]
@@ -160,15 +155,12 @@ def _raw_loss(P, lam, Q, views, Y, C_p, C_q, link):
     return data + reg_p + reg_q, raw
 
 
-def _raw_gradients(P, lam, Q, views, Y, C_p, C_q, link):
+def _raw_gradients(P, lam, Q, views, Y, offset, C_p, C_q, link):
     m, n_y = Y.shape
     n_t = lam.shape[0]
     n_d = len(P)
     Z, F, raw = forward_terms(P, lam, Q, views)
-    if link == "identity":
-        E = Y - raw
-    else:
-        E = Y - sigmoid(raw)
+    E = Y - LINKS[link][0](offset + raw)
     scale = 1.0 / (m * n_y)
     EQt = E @ Q.T
     g_lam = -scale * np.sum(F * EQt, axis=0)
@@ -185,16 +177,15 @@ def _raw_gradients(P, lam, Q, views, Y, C_p, C_q, link):
 def loss(model, dataset, config):
     """Regularized objective of ``model`` on ``dataset``.
 
-    Squared-error data term scaled by 1/(2 m n_y) plus Tikhonov penalties
-    on the factor matrices and output components; with a logistic link
-    the data term is the mean negative log-likelihood instead.
+    The link's data loss (`model.LINKS`) over the m n_y entries plus
+    Tikhonov penalties on the factor matrices and output components.
     """
-    return _raw_loss(*_model_inputs(model, dataset), config.C_p, config.C_q, config.link)[0]
+    return _raw_loss(*_model_inputs(model, dataset), 0.0, config.C_p, config.C_q, config.link)[0]
 
 
 def gradients(model, batch, config):
     """Analytic gradients of `loss` on a batch: ``(g_lam, g_P, g_Q)``."""
-    return _raw_gradients(*_model_inputs(model, batch), config.C_p, config.C_q, config.link)
+    return _raw_gradients(*_model_inputs(model, batch), 0.0, config.C_p, config.C_q, config.link)
 
 
 def _model_inputs(model, data):
@@ -244,15 +235,15 @@ def adam_step(
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _fit_block(views, Y, n_t, config, rng, phase):
+def _fit_block(views, Y, offset, n_t, config, rng, phase):
     """Fit one block of ``n_t`` terms on (views, Y) by mini-batch ADAM.
 
-    Returns ``(lam, P, Q, trace, raw)``, where ``raw`` is the block's
-    pre-link output on ``views``, from the last epoch's loss; Q stays
-    all-ones and untrained for scalar outputs. ``phase`` is the 1-based
-    block index a divergence reports. Overflow on the way to a diverged
-    loss is not warned about: the epoch-loss check raises
-    `TrainingDivergedError` instead.
+    The link is taken at ``offset + raw``: the earlier blocks' fixed
+    pre-link output plus this block's ``raw``, which is returned from the
+    last epoch's loss as ``(lam, P, Q, trace, raw)``; Q stays all-ones and
+    untrained for scalar outputs. ``phase`` is the 1-based block index a
+    divergence reports. Overflow on the way to a diverged loss is not
+    warned about: the epoch-loss check raises `TrainingDivergedError`.
     """
     m, n_y = Y.shape
     if m == 0:
@@ -264,14 +255,16 @@ def _fit_block(views, Y, n_t, config, rng, phase):
     state = AdamState.zeros(lam, P, Q)
     trace = []
     B = config.batch_size
+    # Y and offset side by side, so each batch gathers both in one C-order `np.take`
+    targets = np.hstack([Y, offset])
     for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(m) if config.shuffle else None
+        order = rng.permutation(m) if config.shuffle else np.arange(m)
         for start in range(0, m, B):
-            stop = min(start + B, m)
-            idx = order[start:stop] if order is not None else slice(start, stop)
+            idx = order[start:start + B]
             bviews = take_rows(views, idx)
+            bt = np.take(targets, idx, axis=0)
             grads_b = _raw_gradients(
-                P, lam, Q, bviews, Y[idx], config.C_p, config.C_q, config.link
+                P, lam, Q, bviews, bt[:, :n_y], bt[:, n_y:], config.C_p, config.C_q, config.link
             )
             adam_step(
                 state,
@@ -283,7 +276,7 @@ def _fit_block(views, Y, n_t, config, rng, phase):
                 eps=config.adam_eps,
                 update_q=train_q,
             )
-        L, raw = _raw_loss(P, lam, Q, views, Y, config.C_p, config.C_q, config.link)
+        L, raw = _raw_loss(P, lam, Q, views, Y, offset, config.C_p, config.C_q, config.link)
         if not np.isfinite(L):
             raise TrainingDivergedError(epoch, phase)
         trace.append(L)
@@ -296,19 +289,15 @@ def fit(dataset, config):
     Every mode is one loop over blocks of terms: ``joint`` is a single
     block of all ``n_t`` terms, ``layered`` fits ``config.rank_blocks``
     and ``rank_wise`` fits ``n_t`` one-term blocks (scalar outputs only).
-    With the identity link each block is fitted to the residual the
-    earlier ones left, and a block that fails to reduce the training sum
-    of squares is zeroed out, so the residual-norm sequence never
-    increases. The logistic link (joint mode, {0,1} labels) keeps no
-    residual. Layered fits also record the correlation ratio of the
+    Each block is fitted with the earlier blocks' summed pre-link output
+    as a fixed offset inside the link, and a block that raises the
+    training data loss is zeroed out, so that loss never rises from block
+    to block. Layered fits also record the correlation ratio of the
     per-layer predictions.
     """
     if config.mode == "rank_wise" and dataset.n_y != 1:
         raise ValueError("rank-wise mode handles scalar outputs only")
-    logistic = config.link == "logistic"
-    if logistic and config.mode != "joint":
-        raise ValueError("logistic link requires mode='joint'")
-    if logistic and not np.all((dataset.Y == 0.0) | (dataset.Y == 1.0)):
+    if config.link == "logistic" and not np.all((dataset.Y == 0.0) | (dataset.Y == 1.0)):
         raise ValueError("logistic fitting needs binary {0,1} labels")
     blocks = {"joint": [config.n_t], "layered": config.rank_blocks,
               "rank_wise": [1] * config.n_t}[config.mode]
@@ -318,25 +307,24 @@ def fit(dataset, config):
         views = [homogenize(V) for V in views]
     views = resolve_views(views, config.n_d)
     rng = np.random.default_rng(config.seed)
-    residual = dataset.Y
+    Y = dataset.Y
+    mean, data_loss = LINKS[config.link]
+    offset = np.zeros_like(Y)
     report = FitReport(
         mode=config.mode,
-        residual_norms=[] if logistic else [float(np.linalg.norm(residual))],
+        residual_norms=[float(np.linalg.norm(Y - mean(offset)))],
         eta_squared=[] if layered else None,
     )
     fitted, layer_preds = [], []
     for phase, block in enumerate(blocks, 1):
         t0 = time.perf_counter()
-        lam_b, P_b, Q_b, trace, pred = _fit_block(views, residual, block, config, rng, phase)
-        if not logistic:
-            new_residual = residual - pred
-            if np.sum(new_residual**2) > np.sum(residual**2):
-                # the block did not help on the training data; drop its weight
-                lam_b[:] = 0.0
-                pred = np.zeros_like(pred)
-                new_residual = residual
-            residual = new_residual
-            report.residual_norms.append(float(np.linalg.norm(residual)))
+        lam_b, P_b, Q_b, trace, pred = _fit_block(views, Y, offset, block, config, rng, phase)
+        if data_loss(Y, offset + pred) > data_loss(Y, offset):
+            # the block did not help on the training data; drop its weight
+            lam_b[:] = 0.0
+            pred = np.zeros_like(pred)
+        offset += pred
+        report.residual_norms.append(float(np.linalg.norm(Y - mean(offset))))
         fitted.append((lam_b, P_b, Q_b))
         report.loss_traces.append(trace)
         if layered:

@@ -631,6 +631,27 @@ REJECTED = [
     ("generate-misspelt-key", {"cfg.json": '{"generator": {"degre": 3, "m": 10}}'},
      GENERATE_ARGS, r"^error: unknown generator section key 'degre'; known keys: type, n, "
      r"degree, rank, m, test_m, noise, seed, function$"),
+    # a generator key the chosen type does not read
+    ("generate-quadratics-noise",
+     {"cfg.json": '{"generator": {"type": "quadratics", "m": 20, "noise": 5.0, "n": 7}}'},
+     GENERATE_ARGS, r"^error: unknown quadratics generator key 'noise'; known keys: type, m, "
+     r"test_m, seed, function$"),
+    ("generate-random-function",
+     {"cfg.json": '{"generator": {"type": "random", "function": "sq_diff"}}'}, GENERATE_ARGS,
+     r"^error: unknown random generator key 'function'; known keys: type, n, degree, rank, m, "
+     r"test_m, noise, seed$"),
+    # more folds than examples at any grid point fails before the first fit
+    ("benchmark-folds-above-m", {"cfg.json": one_point_sweep("folds", 51)}, BENCH_ARGS,
+     r"^error: benchmark config at degree=1: folds=51 is more than the m=50 examples$"),
+    ("benchmark-sample-size-below-folds",
+     {"cfg.json": json.dumps({"sweep": {"variable": "sample-size", "values": [100, 3]},
+                              "base": {"n": 3, "degree": 2, "rank": 2, "m": 20}, "folds": 5})},
+     BENCH_ARGS, r"^error: benchmark config at sample-size=3: folds=5 is more than the m=3 "
+     r"examples$"),
+    ("train-link-list", {"cfg.json": '{"train": {"link": ["logistic"]}}', "in.csv": XY_CSV},
+     TRAIN_CFG_ARGS, r"^error: unknown link \['logistic'\]$"),
+    ("model-link-list", {"model.json": json.dumps(json.loads(xy_model_json()) | {"link": ["x"]}),
+                         "in.csv": "x1,x2\n1,2\n"}, PREDICT_ARGS, r"unknown link \['x'\]$"),
     *[(f"benchmark-{section}-misspelt-key", {"cfg.json": one_point_sweep(name, value, [section])},
        BENCH_ARGS, rf"^error: unknown {section} section key {key!r}; known keys: {known}$")
       for section, name, value, key, known in (

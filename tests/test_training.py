@@ -514,15 +514,38 @@ class TestFitLogistic:
         with pytest.raises(ValueError, match="binary"):
             fit(ds, cfg)
 
-    def test_dispatcher_rejects_logistic_deflation(self):
-        rng = np.random.default_rng(2)
-        ds = Dataset(views=[rng.standard_normal((50, 2))],
-                     Y=(rng.random(50) < 0.5).astype(float))
-        rank_wise = TrainConfig(n_d=2, n_t=1, mode="rank_wise", link="logistic")
-        layered = TrainConfig(n_d=2, n_t=1, mode="layered", rank_blocks=[1], link="logistic")
-        for cfg in (rank_wise, layered):
-            with pytest.raises(ValueError, match="logistic link requires mode='joint'"):
-                fit(ds, cfg)
+    @pytest.mark.parametrize("kw", [dict(mode="layered", rank_blocks=[1, 1]),
+                                    dict(mode="rank_wise")], ids=["layered", "rank_wise"])
+    def test_deflated_modes_classify_parity(self, kw):
+        # criterion 7's data; each block fits on the earlier blocks' logits as an offset
+        rng = np.random.default_rng(77)
+        X = rng.standard_normal((10_000, 2))
+        y = (X[:, 0] * X[:, 1] > 0).astype(float)
+        cfg = TrainConfig(n_d=2, n_t=2, epochs=10, batch_size=100, learning_rate=0.1,
+                          link="logistic", seed=3, **kw)
+        model, report = fit(Dataset(views=[X], Y=y), cfg)
+        assert accuracy(y, predict(model, X)[:, 0]) >= 0.95
+        nll = []  # training NLL of the first k terms, k = 0..n_t
+        for k in range(model.n_t + 1):
+            lam = np.where(np.arange(model.n_t) < k, model.lam, 0.0)
+            logits = predict(LtrModel(P=model.P, Q=model.Q, lam=lam), X)[:, 0]
+            nll.append(float(np.sum(np.logaddexp(0.0, logits) - y * logits)))
+        for a, b in zip(nll, nll[1:]):
+            assert b <= a
+        assert len(report.residual_norms) == 3
+
+    def test_block_worse_than_zero_is_dropped(self):
+        # lr 5.0 ends above the all-zero model's NLL of log 2 per entry: the block gets lam = 0
+        rng = np.random.default_rng(77)
+        X = rng.standard_normal((1000, 2))
+        y = (X[:, 0] * X[:, 1] > 0).astype(float)
+        cfg = TrainConfig(n_d=2, n_t=2, epochs=3, batch_size=100, learning_rate=5.0,
+                          mode="joint", link="logistic", seed=0)
+        model, report = fit(Dataset(views=[X], Y=y), cfg)
+        assert report.loss_traces[0][-1] > np.log(2.0)
+        assert np.all(model.lam == 0.0)
+        assert np.all(predict(model, X) == 0.5)
+        assert report.residual_norms == [np.sqrt(1000 * 0.25)] * 2
 
 
 class TestTrainingInvariants:
