@@ -20,9 +20,9 @@ from .metrics import _stderr, cross_validate
 from .model import integral, predict, real
 from .training import TrainConfig, fit
 
-# sweep variable -> the base key it sets; "sample_size" is an alias of "sample-size"
+# sweep variable -> the base key it sets
 SWEEP_KEYS = {"degree": "degree", "rank": "rank", "noise": "noise", "variables": "n",
-              "sample-size": "m", "sample_size": "m"}
+              "sample-size": "m"}
 
 LEARNERS = ("ltr", "lr", "krr", "fm")
 DEFAULT_LEARNERS = ("ltr", "lr")
@@ -39,9 +39,10 @@ def ltr_learner(config):
     return learn
 
 
-def krr_learner(b=1.0, n_d=2, ridge=1e-8):
+def krr_learner(**options):
+    """Learner closure over `baselines.krr_fit`'s keywords (``b``, ``n_d``, ``ridge``)."""
     def learn(train):
-        model = baselines.krr_fit(train, b=b, n_d=n_d, ridge=ridge)
+        model = baselines.krr_fit(train, **options)
         return lambda test: baselines.krr_predict(model, test.X)
 
     return learn
@@ -55,10 +56,11 @@ def linreg_learner():
     return learn
 
 
-def fm_learner(n_d=2, n_t=2, steps=300, learning_rate=0.05, restarts=3, seed=0):
+def fm_learner(n_d, n_t, **options):
+    """Learner closure over `baselines.fm_fit_gd`'s keywords (``steps``,
+    ``learning_rate``, ``restarts``, ``seed``)."""
     def learn(train):
-        P = baselines.fm_fit_gd(train.X, train.Y[:, 0], n_d=n_d, n_t=n_t, steps=steps,
-                                learning_rate=learning_rate, restarts=restarts, seed=seed)
+        P = baselines.fm_fit_gd(train.X, train.Y[:, 0], n_d=n_d, n_t=n_t, **options)
         return lambda test: baselines.fm_forward(test.X, P, n_d)
 
     return learn
@@ -79,22 +81,15 @@ def _build_learner(name, params, cfg):
         return ltr_learner(TrainConfig(**train_cfg))
     if name == "lr":
         return linreg_learner()
+    # krr and fm forward only the keys their section sets, so the baselines' defaults hold
     if name == "krr":
-        krr_cfg = cfg.get("krr", {})
-        return krr_learner(
-            b=real("krr.bias", krr_cfg.get("bias", 1.0)),
-            n_d=params["degree"],
-            ridge=real("krr.ridge", krr_cfg.get("ridge", 1e-8)),
-        )
-    fm_cfg = cfg.get("fm", {})  # the last of LEARNERS, which run_benchmark checked
-    return fm_learner(
-        n_d=params["degree"],
-        n_t=params["rank"],
-        steps=fm_cfg.get("steps", 300),
-        learning_rate=real("fm.learning_rate", fm_cfg.get("learning_rate", 0.05)),
-        restarts=fm_cfg.get("restarts", 3),
-        seed=fm_cfg.get("seed", 0),
-    )
+        krr = {"b" if key == "bias" else key: real(f"krr.{key}", value)
+               for key, value in cfg.get("krr", {}).items()}
+        return krr_learner(n_d=params["degree"], **krr)
+    fm = dict(cfg.get("fm", {}))  # the last of LEARNERS; run_benchmark checked its counts
+    if "learning_rate" in fm:
+        fm["learning_rate"] = real("fm.learning_rate", fm["learning_rate"])
+    return fm_learner(params["degree"], params["rank"], **fm)
 
 
 def _run_point(point, variable, folds):
@@ -142,22 +137,18 @@ def run_benchmark(cfg):
             name in LEARNERS for name in learners):
         raise ValueError(f"benchmark learners must be a non-empty list of names from "
                          f"{LEARNERS}, got {learners!r}")
+    seed = integral("benchmark base.seed", cfg["base"].get("seed", 0), 0)
+    folds = integral("benchmark folds", cfg.get("folds", 2), 2)
     fm = cfg.get("fm", {})
-    for name, value, low in (  # counts and seeds outside the sweep; none is truncated
-        ("base.seed", cfg["base"].get("seed", 0), 0),
-        ("folds", cfg.get("folds", 2), 2),
-        ("fm.steps", fm.get("steps", 300), 1),
-        ("fm.restarts", fm.get("restarts", 3), 1),
-        ("fm.seed", fm.get("seed", 0), 0),
-    ):
-        integral(f"benchmark {name}", value, low)
-    folds = cfg.get("folds", 2)
+    for key, low in (("steps", 1), ("restarts", 1), ("seed", 0)):  # counts; none is truncated
+        if key in fm:
+            integral(f"benchmark fm.{key}", fm[key], low)
     points = []  # every point's data spec and learners, built before the first fit
     for index, value in enumerate(values):
         params = _point_params(cfg["base"], variable, value)
         for key in ("n", "degree", "rank", "m"):  # sizes are counts; none is truncated
             integral(f"benchmark {key} at {variable}={value!r}", params[key])
-        model_seed, data_seed, fold_seed = _point_seeds(cfg["base"].get("seed", 0), index)
+        model_seed, data_seed, fold_seed = _point_seeds(seed, index)
         try:
             spec = GeneratorSpec(n=params["n"], n_d=params["degree"], n_t=params["rank"],
                                  m=params["m"], noise_level=params.get("noise", 0.0),

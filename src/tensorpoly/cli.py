@@ -8,8 +8,6 @@ exit codes are 0 (success), 1 (check failure), 2 (usage or I/O error).
 from __future__ import annotations
 
 import argparse
-import csv
-import io as _stdio
 import json
 import os
 import sys
@@ -164,12 +162,7 @@ def cmd_train(args):
 
 def cmd_predict(args):
     model = tio.load_model(args.model)
-    if args.views:
-        views = [_read_csv_checked(p, "x")[0] for p in args.views]
-    elif args.input:
-        views = [_read_csv_checked(args.input, "x")[0]]
-    else:
-        raise CliError("predict needs --input or --views")
+    views = [_read_csv_checked(p, "x")[0] for p in args.views]
     try:
         yhat = predict(model, views)
     except ValueError as exc:
@@ -217,15 +210,8 @@ def cmd_benchmark(args):
         cfg.get("train", {}), args, {"epochs": "epochs", "batch": "batch_size", "lr": "learning_rate"}
     )
     rows, plot_data = run_benchmark(cfg)
-    buf = _stdio.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["learner", "variable", "value", "metric", "mean", "stderr", "status"])
-    for learner, variable, value, metric, mean, stderr, status in rows:
-        writer.writerow(
-            [learner, variable, repr(value), metric, repr(float(mean)), repr(float(stderr)), status]
-        )
     results_file = _out_path(args, "results.csv")
-    tio._atomic_write(results_file, buf.getvalue())
+    tio.write_results_csv(results_file, rows)
     tio.write_json(_out_path(args, "plot.json"), plot_data)
     print(f"wrote {results_file} ({len(rows)} rows)")
     return 0
@@ -247,7 +233,7 @@ def cmd_gradcheck(args):
             raise CliError("gradcheck grid must be a list of [n_d, n_y, multiview] entries")
         grid = [(integral("grid n_d", n_d), integral("grid n_y", n_y), _flag("grid multiview", mv))
                 for n_d, n_y, mv in grid]
-    rows = gradcheck_mod.run_suite(grid=grid, corrupt=args.corrupt)
+    rows = gradcheck_mod.run_suite(grid=grid)
     for group in ("lambda", "P", "Q"):
         worst = max([0.0] + [err for _, g, err, _ in rows if g == group])
         print(f"{group}: max relative error {worst:.3e}")
@@ -297,8 +283,8 @@ def build_parser():
     p = sub.add_parser("predict", help="write predictions for an input CSV")
     shared(p, "out")
     p.add_argument("--model", required=True, help="model JSON file")
-    p.add_argument("--input", help="input CSV (x* columns)")
-    p.add_argument("--views", nargs="+", help="one CSV per view (multi-view)")
+    p.add_argument("--input", "--views", dest="views", nargs="+", required=True, metavar="CSV",
+                   help="input CSV (x* columns), or one CSV per view (multi-view)")
 
     p = sub.add_parser("evaluate", help="compare predictions against ground truth")
     shared(p, "out")
@@ -316,11 +302,6 @@ def build_parser():
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the analytic gradients")
     shared(p, "config")
-    p.add_argument(
-        "--corrupt",
-        choices=["flip-q"],
-        help="negate the analytic Q gradient first (detector self-test)",
-    )
     return parser
 
 

@@ -85,21 +85,17 @@ def default_grid():
     return cases
 
 
-def run_suite(grid=None, corrupt=None):
+def run_suite(grid=None):
     """Run the finite-difference suite over a shape grid (default: `default_grid`).
 
     Returns rows ``(shape, group, error, index)``, three per shape: the
     max guarded relative error of the "lambda", "P" and "Q" gradients and
     the index of that entry (the P index leads with the factor).
-    ``corrupt='flip-q'`` negates the analytic Q gradient first (a
-    self-test hook proving the detector fires).
     """
     rows = []
     for i, shape in enumerate(default_grid() if grid is None else grid):
         model, dataset, config = make_case(*shape, seed=i)
         a_lam, a_P, a_Q = gradients(model, dataset, config)
-        if corrupt == "flip-q":
-            a_Q = -a_Q
         f_lam, f_P, f_Q = numeric_gradients(model, dataset, config)
         per_d = [_worst_entry(a, f) for a, f in zip(a_P, f_P)]
         d_worst = int(np.argmax([e for e, _ in per_d]))

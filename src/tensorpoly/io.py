@@ -1,4 +1,4 @@
-"""File formats: dataset/prediction CSVs and model/report JSON.
+"""File formats: dataset/prediction/benchmark CSVs and model/report JSON.
 
 CSV files carry a header of feature columns ``x1..xn`` followed by
 output columns (``y`` for a single output, ``y1..yn_y`` otherwise).
@@ -16,6 +16,7 @@ import re
 import tempfile
 import warnings
 from dataclasses import fields
+from io import StringIO
 
 import numpy as np
 
@@ -84,6 +85,19 @@ def write_predictions_csv(path, Y):
     Y = np.asarray(Y, dtype=float)
     Y = Y.reshape(-1, 1) if Y.ndim == 1 else Y
     _atomic_write(path, _rows_to_csv(_y_names(Y.shape[1]), Y))
+
+
+def write_results_csv(path, rows):
+    """Write benchmark rows ``(learner, variable, value, metric, mean, stderr, status)``;
+    values and statistics as their round-trip repr, fields quoted where CSV needs it."""
+    buf = StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["learner", "variable", "value", "metric", "mean", "stderr", "status"])
+    for learner, variable, value, metric, mean, stderr, status in rows:
+        writer.writerow(
+            [learner, variable, repr(value), metric, repr(float(mean)), repr(float(stderr)), status]
+        )
+    _atomic_write(path, buf.getvalue())
 
 
 def read_dataset_csv(path):

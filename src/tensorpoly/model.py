@@ -177,33 +177,47 @@ class Dataset:
         return Dataset(views=take_rows(self.views, idx), Y=self.Y[idx])
 
 
+def _each_distinct(views, fn):
+    """``[fn(d, V) for d, V in enumerate(views)]``, with ``fn`` called once per
+    distinct view object: entries that share a view share the result."""
+    done = {}
+    for d, V in enumerate(views):
+        if id(V) not in done:
+            done[id(V)] = fn(d, V)
+    return [done[id(V)] for V in views]
+
+
 def take_rows(views, idx):
     """Rows ``idx`` of each view, gathered once per distinct view object, so
     factors that share a view share its batch (and one `z_factors` product)."""
-    distinct = {id(V): V for V in views}
-    taken = {key: V[idx] for key, V in distinct.items()}
-    return [taken[id(V)] for V in views]
+    return _each_distinct(views, lambda d, V: V[idx])
 
 
-def resolve_views(views, n_d, dims=None):
+def resolve_views(views, n_d, dims=None, homogenized=False):
     """Normalize ``views`` to one matrix per factor.
 
     Accepts a bare matrix, a 1-element list (shared across factors), or a
-    list of exactly ``n_d`` matrices. A shared view is converted once, so
-    every factor holds the same object and `z_factors` projects it in one
-    product. With ``dims``, column counts must match the factor widths
-    exactly; homogenization is the caller's job (see `predict` and `fit`).
+    list of exactly ``n_d`` matrices. Each distinct view object is
+    converted once and, with ``homogenized``, gets its trailing 1 column
+    once, so factors that share a view keep sharing it and `z_factors`
+    projects it in one product. With ``dims`` (the factor widths), each
+    view must have exactly its factor's raw width: one column fewer on a
+    homogenized model.
     """
     if isinstance(views, np.ndarray):
         views = [views]
     if len(views) not in (1, n_d):
         raise ValueError(f"expected 1 or {n_d} views, got {len(views)}")
-    views = [_as_float_matrix(V, f"views[{d}]") for d, V in enumerate(views)]
     if len(views) == 1:
-        views = views * n_d
-    for d, V in enumerate(views):
-        if dims is not None and V.shape[1] != dims[d]:
-            raise ValueError(f"view {d} has {V.shape[1]} columns, factor expects {dims[d]}")
+        views = list(views) * n_d
+    views = _each_distinct(views, lambda d, V: _as_float_matrix(V, f"views[{d}]"))
+    if dims is not None:
+        raw = [width - 1 for width in dims] if homogenized else dims
+        for d, V in enumerate(views):
+            if V.shape[1] != raw[d]:
+                raise ValueError(f"view {d} has {V.shape[1]} columns, factor expects {raw[d]}")
+    if homogenized:
+        views = _each_distinct(views, lambda d, V: homogenize(V))
     return views
 
 
@@ -287,16 +301,11 @@ LINKS = {
 def predict(model, views):
     """Predictions of ``model`` on a matrix or a list of views: (m, n_y), m may be 0.
 
-    The one model-level forward pass. Views one column short of the
-    factor width are homogenized when the model carries the flag;
-    logistic models return probabilities.
+    The one model-level forward pass. A homogenized model takes raw
+    views and adds their ones column itself (`resolve_views`); logistic
+    models return probabilities.
     """
-    if isinstance(views, np.ndarray):
-        views = [views]
-    if model.homogenized and len(views) <= model.n_d:  # resolve_views rejects surplus views
-        views = [homogenize(V) if _as_float_matrix(V).shape[1] == width - 1 else V
-                 for V, width in zip(views, model.dims)]
-    views = resolve_views(views, model.n_d, model.dims)
+    views = resolve_views(views, model.n_d, model.dims, model.homogenized)
     _, _, raw = forward_terms(model.P, model.lam, model.Q, views)
     return LINKS[model.link][0](raw)
 

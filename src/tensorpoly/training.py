@@ -19,6 +19,7 @@ from __future__ import annotations
 import numbers
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .model import (
     LtrModel,
     forward_terms,
     hadamard_partials,
-    homogenize,
     integral,
     real,
     resolve_views,
@@ -53,8 +53,13 @@ class TrainConfig:
 
     Defaults follow the benchmark-protocol settings (batch 500,
     C_p = C_q = 1e-5, 10 epochs). ``rank_blocks`` partitions the rank
-    range and is required in layered mode only.
+    range and is required in layered mode only. ADAM's moment decays and
+    epsilon are the constants of Kingma & Ba, not settings.
     """
+
+    adam_beta1: ClassVar[float] = 0.9
+    adam_beta2: ClassVar[float] = 0.999
+    adam_eps: ClassVar[float] = 1e-8
 
     n_d: int = 2
     n_t: int = 2
@@ -63,9 +68,6 @@ class TrainConfig:
     learning_rate: float = 0.05
     epochs: int = 10
     batch_size: int = 500
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     mode: str = "rank_wise"
     rank_blocks: list = None
     link: str = "identity"
@@ -76,7 +78,7 @@ class TrainConfig:
     def __post_init__(self):
         for name, low in (("n_d", 1), ("n_t", 1), ("epochs", 1), ("batch_size", 1), ("seed", 0)):
             integral(name, getattr(self, name), low)
-        for name in ("C_p", "C_q", "learning_rate", "adam_beta1", "adam_beta2", "adam_eps"):
+        for name in ("C_p", "C_q", "learning_rate"):
             real(name, getattr(self, name))
         for name in ("shuffle", "homogenize"):
             value = getattr(self, name)
@@ -86,10 +88,6 @@ class TrainConfig:
             raise ValueError("regularization constants must be nonnegative")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
-            raise ValueError("adam_beta1 and adam_beta2 must be in [0, 1)")
-        if self.adam_eps <= 0:
-            raise ValueError("adam_eps must be positive")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not isinstance(self.link, str) or self.link not in LINKS:
@@ -189,10 +187,11 @@ def gradients(model, batch, config):
 
 
 def _model_inputs(model, data):
-    """``(P, lam, Q, views, Y)`` of a model on a non-empty dataset with matching shapes."""
+    """``(P, lam, Q, views, Y)`` of a model on a non-empty dataset with matching shapes;
+    the views are raw, as `predict` takes them, also for a homogenized model."""
     if data.m == 0:
         raise ValueError("empty dataset")
-    views = resolve_views(data.views, model.n_d, model.dims)
+    views = resolve_views(data.views, model.n_d, model.dims, model.homogenized)
     if data.n_y != model.n_y:
         raise ValueError(f"Y has {data.n_y} columns, model expects {model.n_y}")
     return model.P, model.lam, model.Q, views, data.Y
@@ -204,9 +203,9 @@ def adam_step(
     grads,
     learning_rate,
     *,
-    beta1=0.9,
-    beta2=0.999,
-    eps=1e-8,
+    beta1=TrainConfig.adam_beta1,
+    beta2=TrainConfig.adam_beta2,
+    eps=TrainConfig.adam_eps,
     update_q=True,
 ):
     """One bias-corrected ADAM update applied in place to (lam, P, Q).
@@ -266,16 +265,7 @@ def _fit_block(views, Y, offset, n_t, config, rng, phase):
             grads_b = _raw_gradients(
                 P, lam, Q, bviews, bt[:, :n_y], bt[:, n_y:], config.C_p, config.C_q, config.link
             )
-            adam_step(
-                state,
-                (lam, P, Q),
-                grads_b,
-                config.learning_rate,
-                beta1=config.adam_beta1,
-                beta2=config.adam_beta2,
-                eps=config.adam_eps,
-                update_q=train_q,
-            )
+            adam_step(state, (lam, P, Q), grads_b, config.learning_rate, update_q=train_q)
         L, raw = _raw_loss(P, lam, Q, views, Y, offset, config.C_p, config.C_q, config.link)
         if not np.isfinite(L):
             raise TrainingDivergedError(epoch, phase)
@@ -302,10 +292,7 @@ def fit(dataset, config):
     blocks = {"joint": [config.n_t], "layered": config.rank_blocks,
               "rank_wise": [1] * config.n_t}[config.mode]
     layered = config.mode == "layered"
-    views = dataset.views
-    if config.homogenize:
-        views = [homogenize(V) for V in views]
-    views = resolve_views(views, config.n_d)
+    views = resolve_views(dataset.views, config.n_d, homogenized=config.homogenize)
     rng = np.random.default_rng(config.seed)
     Y = dataset.Y
     mean, data_loss = LINKS[config.link]

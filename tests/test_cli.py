@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from tensorpoly import Dataset, LtrModel, TrainConfig, benchmark, fit, predict, quadratics_dataset
-from tensorpoly.cli import main
+from tensorpoly.cli import SHARED_FLAGS, build_parser, main
 from tensorpoly.io import (
     RUN_CONFIG,
     check_config,
@@ -228,6 +229,26 @@ class TestPredict:
         expected = predict(model, [X1, X2])
         assert np.max(np.abs(Y - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
 
+    def test_input_and_views_are_one_option(self, tmp_path):
+        rng = np.random.default_rng(6)
+        model = LtrModel(P=[rng.standard_normal((2, 3)), rng.standard_normal((2, 2))],
+                         Q=np.ones((2, 1)), lam=rng.standard_normal(2))
+        save_model(tmp_path / "m.json", model)
+        write_dataset_csv(tmp_path / "v1.csv", rng.standard_normal((15, 3)))
+        write_dataset_csv(tmp_path / "v2.csv", rng.standard_normal((15, 2)))
+        for flag in ("--input", "--views"):
+            assert main(["predict", "--model", str(tmp_path / "m.json"),
+                         flag, str(tmp_path / "v1.csv"), str(tmp_path / "v2.csv"),
+                         "--out", str(tmp_path / flag[2:])]) == 0
+        assert read_text(tmp_path / "input" / "predictions.csv") == \
+            read_text(tmp_path / "views" / "predictions.csv")
+
+    def test_without_input_exits_2(self, tmp_path, capsys):
+        model_file = self.xy_model_file(tmp_path)
+        assert main(["predict", "--model", str(model_file), "--out", str(tmp_path)]) == 2
+        assert "required: --input/--views" in capsys.readouterr().err
+        assert not (tmp_path / "predictions.csv").exists()
+
     def test_logistic_model_emits_probabilities(self, tmp_path):
         from tensorpoly import LtrModel
         rng = np.random.default_rng(4)
@@ -370,7 +391,6 @@ class TestBenchmark:
         assert _point_params(base, "noise", 0.5)["noise"] == 0.5
         assert _point_params(base, "variables", 9)["n"] == 9
         assert _point_params(base, "sample-size", 777)["m"] == 777
-        assert _point_params(base, "sample_size", 777)["m"] == 777
 
     def test_worker_threads_keep_accuracy_identical(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "cfg.json", self.bench_config())
@@ -447,14 +467,19 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "lambda" in out and "P" in out and "Q" in out
 
-    def test_corrupted_q_detected(self, capsys):
-        assert main(["gradcheck", "--corrupt", "flip-q"]) == 1
+    def test_corrupted_q_detected(self, capsys, monkeypatch):
+        from tensorpoly import gradcheck
+        exact = gradcheck.gradients
+
+        def flipped_q(*args):
+            g_lam, g_P, g_Q = exact(*args)
+            return g_lam, g_P, -g_Q
+
+        monkeypatch.setattr(gradcheck, "gradients", flipped_q)
+        assert main(["gradcheck"]) == 1
         captured = capsys.readouterr()
         assert "Q" in captured.err
         assert "lambda" not in captured.err
-
-    def test_usage_error_returns_2(self):
-        assert main(["gradcheck", "--corrupt", "bogus"]) == 2
 
     def test_custom_grid_from_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", {"grid": [[1, 1, False], [2, 3, True]]})
@@ -515,8 +540,12 @@ TRAIN_FROM_CONFIG_ARGS = ["train", "--config", "{dir}/cfg.json", "--epochs", "1"
                           "--out", "{dir}/out"]
 TOP_LEVEL_KEYS = ("generator, data, train, base, sweep, krr, fm, learners, folds, schema_version, "
                   "files, true_model")
-TRAIN_KEYS = ("n_d, n_t, C_p, C_q, learning_rate, epochs, batch_size, adam_beta1, adam_beta2, "
-              "adam_eps, mode, rank_blocks, link, seed, shuffle, homogenize")
+TRAIN_KEYS = ("n_d, n_t, C_p, C_q, learning_rate, epochs, batch_size, mode, rank_blocks, link, "
+              "seed, shuffle, homogenize")
+# x1 * x2 on inputs that get a trailing 1 column: its factors are 3 wide, its input 2
+HOMOGENIZED_XY_MODEL = json.dumps(model_to_dict(LtrModel(
+    P=[np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 1.0, 0.0]])], Q=np.ones((1, 1)), lam=[1.0],
+    homogenized=True)))
 
 
 def one_point_sweep(name, value, learners=("ltr", "lr")):
@@ -618,6 +647,16 @@ REJECTED = [
            r"noise_level must be a finite number, got \[1\]"))],
     ("benchmark-train-unknown-key", {"cfg.json": one_point_sweep("train.epoch", 3, ["ltr"])},
      BENCH_ARGS, rf"^error: unknown train section key 'epoch'; known keys: {TRAIN_KEYS}$"),
+    # ADAM's decays and epsilon are constants, not settings
+    ("train-adam_beta1", {"cfg.json": '{"train": {"adam_beta1": 0.95}}', "in.csv": XY_CSV},
+     TRAIN_CFG_ARGS, rf"^error: unknown train section key 'adam_beta1'; known keys: {TRAIN_KEYS}$"),
+    ("benchmark-sweep-sample_size", {"cfg.json": one_point_sweep("sweep.variable", "sample_size")},
+     BENCH_ARGS, r"^error: sweep variable must be one of \('degree', 'rank', 'noise', "
+     r"'variables', 'sample-size'\)$"),
+    # a homogenized model takes its raw width only; it adds the ones column itself
+    ("predict-homogenized-with-ones-column",
+     {"model.json": HOMOGENIZED_XY_MODEL, "in.csv": "x1,x2,x3\n2,3,1\n"}, PREDICT_ARGS,
+     r"^error: prediction input mismatch: view 0 has 3 columns, factor expects 2$"),
     ("generate-noise-list", {"cfg.json": '{"generator": {"noise": [1]}}'}, GENERATE_ARGS,
      r"^error: noise_level must be a finite number, got \[1\]$"),
     ("generate-quadratics-function-list",
@@ -708,6 +747,7 @@ UNREAD_FLAGS = [
       ("--config", "--seed", "--degree", "--rank", "--epochs", "--batch", "--lr")],
     *[("gradcheck", ["gradcheck"], [flag, "5"]) for flag in
       ("--seed", "--out", "--degree", "--rank", "--epochs", "--batch", "--lr")],
+    ("gradcheck", ["gradcheck"], ["--corrupt", "flip-q"]),
 ]
 
 # (id, x1,x2 input CSV, expected x1 * x2 predictions)
@@ -769,6 +809,19 @@ def test_readme_lists_the_known_keys_of_each_section():
     listed = {section: tuple(re.findall(r"`(\w+)`", keys))
               for section, keys in re.findall(r"^\| `(\w+)` \| (.*) \|$", table, re.M)}
     assert listed == {key: known for key, known in RUN_CONFIG.items() if known is not None}
+
+
+def test_readme_lists_the_shared_flags_of_each_command():
+    table = README.read_text().split("| command | shared flags |")[1].split("\n\n")[0]
+    listed = {command: set(re.findall(r"--(\w+)", flags))
+              for commands, flags in re.findall(r"^\| (.*?) \| (.*) \|$", table, re.M)
+              for command in re.findall(r"`(\w+)`", commands)}
+    subcommands = next(action.choices for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    taken = {name: {option[2:] for action in sub._actions for option in action.option_strings
+                    if option[2:] in SHARED_FLAGS}
+             for name, sub in subcommands.items()}
+    assert listed == taken
 
 
 def csv_writer_reference(header, rows):

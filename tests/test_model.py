@@ -58,6 +58,32 @@ class TestHomogenize:
         assert model.homogenized
         assert rmse(ds.Y[:, 0], predict(model, x)[:, 0]) < 1e-3
 
+    @pytest.mark.parametrize("width", [3, 5])
+    def test_homogenized_model_takes_its_raw_width_only(self, width):
+        model = LtrModel(P=[np.ones((1, 3)), np.ones((1, 3))], Q=np.ones((1, 1)), lam=[1.0],
+                         homogenized=True)
+        with pytest.raises(ValueError, match=f"view 0 has {width} columns, factor expects 2"):
+            predict(model, np.ones((4, width)))
+
+    def test_shared_view_is_homogenized_once(self, monkeypatch):
+        import tensorpoly.model as tmodel
+        distinct_views = []  # per z_factors call; each distinct view is one product
+        exact = tmodel.z_factors
+
+        def spy(P, views):
+            distinct_views.append(len({id(V) for V in views}))
+            return exact(P, views)
+
+        monkeypatch.setattr(tmodel, "z_factors", spy)
+        rng = np.random.default_rng(12)
+        X = rng.standard_normal((60, 2))
+        cfg = TrainConfig(n_d=3, n_t=2, epochs=2, batch_size=20, mode="joint", homogenize=True)
+        model, _ = fit(Dataset(views=[X, X, X], Y=rng.standard_normal(60)), cfg)
+        assert distinct_views and set(distinct_views) == {1}
+        distinct_views.clear()
+        predict(model, [X, X, X])
+        assert distinct_views == [1]
+
     def test_surplus_view_rejected(self):
         model = LtrModel(P=[np.ones((1, 3)), np.ones((1, 2))], Q=np.ones((1, 1)), lam=[1.0],
                          homogenized=True)
