@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: generate, train, predict, evaluate, benchmark, gradcheck.
-Every run is driven by a JSON config file plus a few override flags;
-exit codes are 0 (success), 1 (check failure), 2 (usage or I/O error).
+Run values (model, training, generator, sweep) are set only in a JSON run
+config and file paths only by flags; exit codes are 0 (success), 1 (check
+failure), 2 (usage or I/O error).
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import argparse
 import json
 import os
 import sys
+
+import numpy as np
 
 from . import gradcheck as gradcheck_mod
 from . import io as tio
@@ -25,35 +28,16 @@ class CliError(Exception):
     """A usage or input error: `main` prints its one-line message and returns 2."""
 
 
-def _load_config(path, schema=tio.RUN_CONFIG):
-    """The JSON object in ``path``, checked against ``schema`` by `io.check_config`."""
+def _load_config(path):
+    """The JSON object in ``path``, checked against `io.RUN_CONFIG` by `io.check_config`."""
     if path is None:
         return {}
     try:
         cfg = tio.read_json(path)
     except json.JSONDecodeError as exc:
         raise CliError(f"config file {path} is not valid JSON: {exc}")
-    tio.check_config(cfg, schema)
+    tio.check_config(cfg, tio.RUN_CONFIG)
     return cfg
-
-
-def _apply_overrides(section, args, mapping):
-    out = dict(section)
-    for flag, key in mapping.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            out[key] = value
-    return out
-
-
-TRAIN_OVERRIDES = {
-    "seed": "seed",
-    "degree": "n_d",
-    "rank": "n_t",
-    "epochs": "epochs",
-    "batch": "batch_size",
-    "lr": "learning_rate",
-}
 
 
 def _out_path(args, name):
@@ -63,12 +47,7 @@ def _out_path(args, name):
 
 
 def cmd_generate(args):
-    cfg = _load_config(args.config)
-    gen = _apply_overrides(
-        cfg.get("generator", {}),
-        args,
-        {"seed": "seed", "degree": "degree", "rank": "rank"},
-    )
+    gen = _load_config(args.config).get("generator", {})
     gtype = gen.get("type", "random")
     if not isinstance(gtype, str) or gtype not in tio.GENERATOR_KEYS:
         raise CliError(f"unknown generator type {gtype!r}")
@@ -113,40 +92,34 @@ def cmd_generate(args):
     return 0
 
 
-def _read_training_data(args, cfg):
-    data_cfg = cfg.get("data", {})
-    for key, value in data_cfg.items():
-        paths = value if key == "views" else [value]
-        if not isinstance(paths, list) or not paths or not all(isinstance(p, str) for p in paths):
-            kind = "a non-empty list of paths" if key == "views" else "a path"
-            raise CliError(f"data.{key} must be {kind}, got {value!r}")
-    data_path = args.data or data_cfg.get("train")
-    view_paths = args.views or data_cfg.get("views")
-    labels_path = args.labels or data_cfg.get("labels")
-    if data_path:
-        X, Y = _read_csv_checked(data_path, "xy")
+def _read_training_data(args):
+    if args.data:
+        X, Y = _read_csv_checked(args.data, "xy")
         return Dataset(views=[X], Y=Y)
-    if view_paths:
-        if not labels_path:
+    if args.views:
+        if not args.labels:
             raise CliError("multi-view training needs --labels with the shared outputs")
-        views = [_read_csv_checked(p, "x")[0] for p in view_paths]
-        return Dataset(views=views, Y=_read_csv_checked(labels_path, "y")[1])
-    raise CliError("no training data: pass --data or --views/--labels (or set them in the config)")
+        views = [_read_csv_checked(p, "x")[0] for p in args.views]
+        return Dataset(views=views, Y=_read_csv_checked(args.labels, "y")[1])
+    raise CliError("no training data: pass --data or --views/--labels")
 
 
 def _read_csv_checked(path, need):
-    """``(X, Y)`` of the CSV at ``path``; each column group in ``need`` ("x", "y") must be present."""
+    """``(X, Y)`` of the CSV at ``path``; each column group in ``need`` ("x", "y") must be
+    present and finite."""
     X, Y = tio.read_dataset_csv(path)
     for group, A in zip("xy", (X, Y)):
         if group in need and A is None:
             raise CliError(f"{path}: no {group}* columns")
+        if group in need and not np.isfinite(A).all():
+            raise CliError(f"{path}: {group.upper()} contains non-finite values")
     return X, Y
 
 
 def cmd_train(args):
     cfg = _load_config(args.config)
-    dataset = _read_training_data(args, cfg)
-    config = TrainConfig(**_apply_overrides(cfg.get("train", {}), args, TRAIN_OVERRIDES))
+    dataset = _read_training_data(args)
+    config = TrainConfig(**cfg.get("train", {}))
     try:
         model, report = fit(dataset, config)
     except TrainingDivergedError as exc:
@@ -174,6 +147,8 @@ def cmd_predict(args):
 
 
 def cmd_evaluate(args):
+    if args.topk is not None and args.task != "multilabel":
+        raise CliError("--topk applies to --task multilabel only")
     yhat = _read_csv_checked(args.predictions, "y")[1]
     ytrue = _read_csv_checked(args.truth, "y")[1]
     if yhat.shape != ytrue.shape:
@@ -181,18 +156,14 @@ def cmd_evaluate(args):
     if args.task == "regression":
         metrics = dict(zip(("pearson", "rmse"), column_scores(ytrue, yhat)))
     elif args.task == "classification":
-        metrics = {
-            "accuracy": accuracy(ytrue.reshape(-1), yhat.reshape(-1)),
-            "micro_f1": f1_multilabel(
-                ytrue.astype(int), (yhat >= 0.5).astype(int)
-            ),
-        }
+        metrics = {"accuracy": accuracy(ytrue.reshape(-1), yhat.reshape(-1)),
+                   "micro_f1": f1_multilabel(ytrue, yhat >= 0.5)}
     else:  # multilabel
         if args.topk is None:
-            pred_bin = (yhat >= 0.5).astype(int)
+            pred_bin = yhat >= 0.5
         else:
             pred_bin = top_k_binarize(yhat, integral("--topk", args.topk, 1))
-        metrics = {"micro_f1": f1_multilabel(ytrue.astype(int), pred_bin)}
+        metrics = {"micro_f1": f1_multilabel(ytrue, pred_bin)}
     out_file = _out_path(args, "metrics.json")
     tio.write_json(out_file, metrics)
     print(json.dumps(tio.jsonable(metrics)))
@@ -200,16 +171,7 @@ def cmd_evaluate(args):
 
 
 def cmd_benchmark(args):
-    cfg = _load_config(args.config)
-    base = _apply_overrides(
-        cfg.get("base", {}), args, {"seed": "seed", "degree": "degree", "rank": "rank"}
-    )
-    if base:  # an absent base stays absent, so run_benchmark names it
-        cfg["base"] = base
-    cfg["train"] = _apply_overrides(
-        cfg.get("train", {}), args, {"epochs": "epochs", "batch": "batch_size", "lr": "learning_rate"}
-    )
-    rows, plot_data = run_benchmark(cfg)
+    rows, plot_data = run_benchmark(_load_config(args.config))
     results_file = _out_path(args, "results.csv")
     tio.write_results_csv(results_file, rows)
     tio.write_json(_out_path(args, "plot.json"), plot_data)
@@ -217,23 +179,8 @@ def cmd_benchmark(args):
     return 0
 
 
-def _flag(name, value):
-    """``value`` as a bool; a CliError unless it is true, false, 0 or 1."""
-    if isinstance(value, bool) or type(value) is int and value in (0, 1):
-        return bool(value)
-    raise CliError(f"{name} must be true, false, 0 or 1, got {value!r}")
-
-
 def cmd_gradcheck(args):
-    cfg = _load_config(args.config, {"grid": None})
-    grid = cfg.get("grid")
-    if grid is not None:
-        if not isinstance(grid, list) or not grid or not all(
-                isinstance(e, list) and len(e) == 3 for e in grid):
-            raise CliError("gradcheck grid must be a list of [n_d, n_y, multiview] entries")
-        grid = [(integral("grid n_d", n_d), integral("grid n_y", n_y), _flag("grid multiview", mv))
-                for n_d, n_y, mv in grid]
-    rows = gradcheck_mod.run_suite(grid=grid)
+    rows = gradcheck_mod.run_suite()
     for group in ("lambda", "P", "Q"):
         worst = max([0.0] + [err for _, g, err, _ in rows if g == group])
         print(f"{group}: max relative error {worst:.3e}")
@@ -247,18 +194,6 @@ def cmd_gradcheck(args):
     return 0
 
 
-SHARED_FLAGS = {
-    "config": dict(help="JSON run config"),
-    "seed": dict(type=int, help="override the config seed"),
-    "out": dict(help="output directory (default: current)"),
-    "degree": dict(type=int, help="override polynomial degree"),
-    "rank": dict(type=int, help="override rank (number of terms)"),
-    "epochs": dict(type=int, help="override epoch count"),
-    "batch": dict(type=int, help="override mini-batch size"),
-    "lr": dict(type=float, help="override learning rate"),
-}
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="tensorpoly",
@@ -266,28 +201,27 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def shared(p, *names):
-        """Attach the shared flags in ``names``: exactly the ones the subcommand reads."""
-        for name in names:
-            p.add_argument(f"--{name}", **SHARED_FLAGS[name])
+    config_help, out_help = "JSON run config", "output directory (default: current)"
 
     p = sub.add_parser("generate", help="write synthetic train/test CSVs plus a manifest")
-    shared(p, "config", "seed", "out", "degree", "rank")
+    p.add_argument("--config", help=config_help)
+    p.add_argument("--out", help=out_help)
 
     p = sub.add_parser("train", help="fit a model and write model/report JSON")
-    shared(p, *SHARED_FLAGS)
+    p.add_argument("--config", help=config_help)
+    p.add_argument("--out", help=out_help)
     p.add_argument("--data", help="single CSV with x* and y* columns")
     p.add_argument("--views", nargs="+", help="one CSV per view (multi-view)")
     p.add_argument("--labels", help="shared outputs CSV for multi-view training")
 
     p = sub.add_parser("predict", help="write predictions for an input CSV")
-    shared(p, "out")
+    p.add_argument("--out", help=out_help)
     p.add_argument("--model", required=True, help="model JSON file")
     p.add_argument("--input", "--views", dest="views", nargs="+", required=True, metavar="CSV",
                    help="input CSV (x* columns), or one CSV per view (multi-view)")
 
     p = sub.add_parser("evaluate", help="compare predictions against ground truth")
-    shared(p, "out")
+    p.add_argument("--out", help=out_help)
     p.add_argument("--predictions", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument(
@@ -298,10 +232,10 @@ def build_parser():
     p.add_argument("--topk", type=int, help="top-k binarization for multilabel")
 
     p = sub.add_parser("benchmark", help="run a one-variable sweep with cross-validation")
-    shared(p, *SHARED_FLAGS)
+    p.add_argument("--config", help=config_help)
+    p.add_argument("--out", help=out_help)
 
-    p = sub.add_parser("gradcheck", help="finite-difference check of the analytic gradients")
-    shared(p, "config")
+    sub.add_parser("gradcheck", help="finite-difference check of the analytic gradients")
     return parser
 
 

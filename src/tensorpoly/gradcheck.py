@@ -76,24 +76,20 @@ def make_case(n_d, n_y, multiview, seed=0):
     return model, dataset, config
 
 
-def default_grid():
-    cases = []
-    for n_d in (1, 2, 3, 4):
-        for n_y in (1, 3):
-            for multiview in (False, True):
-                cases.append((n_d, n_y, multiview))
-    return cases
+# (n_d, n_y, multiview) shapes the suite checks
+GRID = [(n_d, n_y, multiview) for n_d in (1, 2, 3, 4) for n_y in (1, 3)
+        for multiview in (False, True)]
 
 
-def run_suite(grid=None):
-    """Run the finite-difference suite over a shape grid (default: `default_grid`).
+def run_suite():
+    """Run the finite-difference suite over every shape in `GRID`.
 
     Returns rows ``(shape, group, error, index)``, three per shape: the
     max guarded relative error of the "lambda", "P" and "Q" gradients and
     the index of that entry (the P index leads with the factor).
     """
     rows = []
-    for i, shape in enumerate(default_grid() if grid is None else grid):
+    for i, shape in enumerate(GRID):
         model, dataset, config = make_case(*shape, seed=i)
         a_lam, a_P, a_Q = gradients(model, dataset, config)
         f_lam, f_P, f_Q = numeric_gradients(model, dataset, config)

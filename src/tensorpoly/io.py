@@ -32,7 +32,6 @@ GENERATOR_KEYS = {"random": ("type", "n", "degree", "rank", "m", "test_m", "nois
 # value to None. `generate --config` also re-runs from a manifest's keys.
 RUN_CONFIG = {
     "generator": tuple(dict.fromkeys(GENERATOR_KEYS["random"] + GENERATOR_KEYS["quadratics"])),
-    "data": ("train", "views", "labels"),
     "train": tuple(f.name for f in fields(TrainConfig)),
     "base": ("n", "degree", "rank", "m", "noise", "seed"),
     "sweep": ("variable", "values"),

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from tensorpoly import Dataset, LtrModel, TrainConfig, benchmark, fit, predict, quadratics_dataset
-from tensorpoly.cli import SHARED_FLAGS, build_parser, main
+from tensorpoly.cli import build_parser, main
 from tensorpoly.io import (
     RUN_CONFIG,
     check_config,
@@ -135,12 +135,13 @@ class TestTrain:
         # a fresh interpreter, so numpy's overflow warnings would reach stderr
         ds = quadratics_dataset("xy", 200, seed=0)
         write_dataset_csv(tmp_path / "d.csv", ds.X, ds.Y)
+        cfg = write_config(tmp_path / "cfg.json", {"train": {"learning_rate": 1e100}})
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parent.parent / "src")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-m", "tensorpoly", "train", "--data", str(tmp_path / "d.csv"),
-             "--lr", "1e100", "--out", str(tmp_path / "out")],
+            [sys.executable, "-m", "tensorpoly", "train", "--config", cfg,
+             "--data", str(tmp_path / "d.csv"), "--out", str(tmp_path / "out")],
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 1
         assert proc.stderr == "training diverged at epoch 1 in phase 1\n"
@@ -481,11 +482,6 @@ class TestGradcheckCommand:
         assert "Q" in captured.err
         assert "lambda" not in captured.err
 
-    def test_custom_grid_from_config(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "cfg.json", {"grid": [[1, 1, False], [2, 3, True]]})
-        assert main(["gradcheck", "--config", cfg]) == 0
-        assert "all 2 shapes" in capsys.readouterr().out
-
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 
@@ -525,7 +521,8 @@ def xy_model_json(drop=None):
     return json.dumps(d)
 
 
-TRAIN_ARGS = ["train", "--data", "{dir}/in.csv", "--epochs", "1", "--out", "{dir}/out"]
+TRAIN_ARGS = ["train", "--config", "{dir}/cfg.json", "--data", "{dir}/in.csv", "--out", "{dir}/out"]
+ONE_EPOCH = {"cfg.json": '{"train": {"epochs": 1}}'}
 PREDICT_ARGS = ["predict", "--model", "{dir}/model.json", "--input", "{dir}/in.csv",
                 "--out", "{dir}/out"]
 BENCH_ARGS = ["benchmark", "--config", "{dir}/cfg.json", "--out", "{dir}/out"]
@@ -533,12 +530,9 @@ GENERATE_ARGS = ["generate", "--config", "{dir}/cfg.json", "--out", "{dir}/out"]
 EVALUATE_ARGS = ["evaluate", "--predictions", "{dir}/p.csv", "--truth", "{dir}/t.csv",
                  "--out", "{dir}/out"]
 NO_BASE = json.dumps({"sweep": {"variable": "degree", "values": [1]}})
-TRAIN_CFG_ARGS = TRAIN_ARGS + ["--config", "{dir}/cfg.json"]
 XY_CSV = "x1,x2,y\n1,2,2\n3,4,12\n"
-GRADCHECK_ARGS = ["gradcheck", "--config", "{dir}/cfg.json"]
-TRAIN_FROM_CONFIG_ARGS = ["train", "--config", "{dir}/cfg.json", "--epochs", "1",
-                          "--out", "{dir}/out"]
-TOP_LEVEL_KEYS = ("generator, data, train, base, sweep, krr, fm, learners, folds, schema_version, "
+TRAIN_FROM_CONFIG_ARGS = ["train", "--config", "{dir}/cfg.json", "--out", "{dir}/out"]
+TOP_LEVEL_KEYS = ("generator, train, base, sweep, krr, fm, learners, folds, schema_version, "
                   "files, true_model")
 TRAIN_KEYS = ("n_d, n_t, C_p, C_q, learning_rate, epochs, batch_size, mode, rank_blocks, link, "
               "seed, shuffle, homogenize")
@@ -560,39 +554,41 @@ def one_point_sweep(name, value, learners=("ltr", "lr")):
 # (id, files to write, argv, regex searched in the one stderr line after "error: ");
 # the CSV patterns name only the path and the offending field, not numpy's wording
 REJECTED = [
-    ("csv-short-rows", {"in.csv": "x1,x2,y\n1,2\n3,4\n"}, TRAIN_ARGS,
+    ("csv-short-rows", {**ONE_EPOCH, "in.csv": "x1,x2,y\n1,2\n3,4\n"}, TRAIN_ARGS,
      r"in\.csv: rows have 2 columns, header has 3"),
-    ("csv-one-long-row", {"in.csv": "x1,x2,y\n1,2,3\n1,2,3,4\n"}, TRAIN_ARGS,
+    ("csv-one-long-row", {**ONE_EPOCH, "in.csv": "x1,x2,y\n1,2,3\n1,2,3,4\n"}, TRAIN_ARGS,
      r"in\.csv: .*columns"),
-    ("csv-empty-field", {"in.csv": "x1,x2,y\n1,,3\n"}, TRAIN_ARGS, r"in\.csv: .*''"),
-    ("csv-hash-line", {"in.csv": "x1,x2,y\n# note\n1,2,3\n"}, TRAIN_ARGS,
+    ("csv-empty-field", {**ONE_EPOCH, "in.csv": "x1,x2,y\n1,,3\n"}, TRAIN_ARGS, r"in\.csv: .*''"),
+    ("csv-hash-line", {**ONE_EPOCH, "in.csv": "x1,x2,y\n# note\n1,2,3\n"}, TRAIN_ARGS,
      r"in\.csv: .*'# note'"),
-    ("csv-semicolons", {"in.csv": "x1;x2;y\n1;2;3\n"}, TRAIN_ARGS, r"in\.csv: .*'1;2;3'"),
-    ("csv-nan-in-y", {"in.csv": "x1,x2,y\n1,2,nan\n3,4,5\n"}, TRAIN_ARGS,
+    ("csv-semicolons", {**ONE_EPOCH, "in.csv": "x1;x2;y\n1;2;3\n"}, TRAIN_ARGS, r"in\.csv: .*'1;2;3'"),
+    ("csv-nan-in-y", {**ONE_EPOCH, "in.csv": "x1,x2,y\n1,2,nan\n3,4,5\n"}, TRAIN_ARGS,
      r"Y contains non-finite values"),
     *[(f"model-without-{key}", {"model.json": xy_model_json(drop=key), "in.csv": "x1,x2\n1,2\n"},
        PREDICT_ARGS, rf"model file is missing key '{key}'")
       for key in ("P", "Q", "lambda", "homogenized")],
     ("benchmark-without-base", {"cfg.json": NO_BASE}, BENCH_ARGS,
      r"benchmark config needs a base section"),
-    ("benchmark-base-without-sizes", {"cfg.json": NO_BASE}, BENCH_ARGS + ["--seed", "3"],
+    ("benchmark-base-without-sizes",
+     {"cfg.json": json.dumps({"base": {"seed": 3}, **json.loads(NO_BASE)})}, BENCH_ARGS,
      r"benchmark base section is missing \['m', 'n', 'rank'\]"),
     ("model-json-list", {"model.json": "[]", "in.csv": "x1,x2\n1,2\n"}, PREDICT_ARGS,
      r"model file must hold a JSON object, got list"),
-    ("train-config-list", {"cfg.json": "[]", "in.csv": XY_CSV}, TRAIN_CFG_ARGS,
+    ("train-config-list", {"cfg.json": "[]", "in.csv": XY_CSV}, TRAIN_ARGS,
      r"^error: config must be a JSON object, got list$"),
     ("benchmark-config-string", {"cfg.json": '"x"'}, BENCH_ARGS,
      r"^error: config must be a JSON object, got str$"),
-    ("train-section-number", {"cfg.json": '{"train": 5}', "in.csv": XY_CSV}, TRAIN_CFG_ARGS,
+    ("train-section-number", {"cfg.json": '{"train": 5}', "in.csv": XY_CSV}, TRAIN_ARGS,
      r"^error: train section must be a JSON object, got int$"),
     ("generator-section-list", {"cfg.json": '{"generator": []}'}, GENERATE_ARGS,
      r"^error: generator section must be a JSON object, got list$"),
     ("benchmark-base-list", {"cfg.json": json.dumps({"base": [], **json.loads(NO_BASE)})},
      BENCH_ARGS, r"^error: base section must be a JSON object, got list$"),
-    ("train-lr-nan", {"in.csv": XY_CSV}, TRAIN_ARGS + ["--lr", "nan"],
+    ("train-lr-nan", {"cfg.json": '{"train": {"epochs": 1, "learning_rate": NaN}}', "in.csv": XY_CSV},
+     TRAIN_ARGS,
      r"learning_rate must be a finite number, got nan"),
     ("train-n_d-fraction", {"cfg.json": '{"train": {"n_d": 2.5}}', "in.csv": XY_CSV},
-     TRAIN_CFG_ARGS, r"n_d must be an integer >= 1, got 2\.5"),
+     TRAIN_ARGS, r"n_d must be an integer >= 1, got 2\.5"),
     *[(f"generate-{key}-fraction", {"cfg.json": json.dumps({"generator": {key: 2.5}})},
        GENERATE_ARGS, rf"^error: {key} must be an integer >= {low}, got 2\.5$")
       for key, low in (("n", 1), ("degree", 1), ("rank", 1), ("m", 1), ("test_m", 1), ("seed", 0))],
@@ -609,12 +605,6 @@ REJECTED = [
        rf"^error: benchmark {name} must be an integer >= {low}, got {re.escape(repr(value))}$")
       for name, value, low in (("base.seed", 1.9, 0), ("folds", 2.9, 2), ("fm.steps", 2.5, 1),
                                ("fm.restarts", 1.5, 1), ("fm.seed", 0.5, 0))],
-    ("gradcheck-grid-fraction", {"cfg.json": '{"grid": [[2.7, 1.9, 0]]}'}, GRADCHECK_ARGS,
-     r"^error: grid n_d must be an integer >= 1, got 2\.7$"),
-    *[(f"gradcheck-grid-{case}", {"cfg.json": json.dumps({"grid": grid})}, GRADCHECK_ARGS,
-       r"^error: gradcheck grid must be a list of \[n_d, n_y, multiview\] entries$")
-      for case, grid in (("number", 5), ("number-entry", [5]), ("short-entry", [[2, 1]]),
-                         ("empty", []))],
     ("predict-header-only-wrong-width",
      {"model.json": xy_model_json(), "in.csv": "x1,x2,x3,x4,x5\n"}, PREDICT_ARGS,
      r"^error: prediction input mismatch: view 0 has 5 columns, factor expects 2$"),
@@ -649,7 +639,7 @@ REJECTED = [
      BENCH_ARGS, rf"^error: unknown train section key 'epoch'; known keys: {TRAIN_KEYS}$"),
     # ADAM's decays and epsilon are constants, not settings
     ("train-adam_beta1", {"cfg.json": '{"train": {"adam_beta1": 0.95}}', "in.csv": XY_CSV},
-     TRAIN_CFG_ARGS, rf"^error: unknown train section key 'adam_beta1'; known keys: {TRAIN_KEYS}$"),
+     TRAIN_ARGS, rf"^error: unknown train section key 'adam_beta1'; known keys: {TRAIN_KEYS}$"),
     ("benchmark-sweep-sample_size", {"cfg.json": one_point_sweep("sweep.variable", "sample_size")},
      BENCH_ARGS, r"^error: sweep variable must be one of \('degree', 'rank', 'noise', "
      r"'variables', 'sample-size'\)$"),
@@ -663,10 +653,8 @@ REJECTED = [
      {"cfg.json": '{"generator": {"type": "quadratics", "function": ["xy"]}}'}, GENERATE_ARGS,
      r"^error: unknown function \['xy'\], pick from \['diff_sq', 'sq_diff', 'xy'\]$"),
     *[(f"train-{key}-string", {"cfg.json": json.dumps({"train": {key: "false"}}), "in.csv": XY_CSV},
-       TRAIN_CFG_ARGS, rf"^error: {key} must be true or false, got 'false'$")
+       TRAIN_ARGS, rf"^error: {key} must be true or false, got 'false'$")
       for key in ("homogenize", "shuffle")],
-    ("gradcheck-h", {"cfg.json": '{"h": 1e-6}'}, GRADCHECK_ARGS,
-     r"^error: unknown config key 'h'; known keys: grid$"),
     ("generate-misspelt-key", {"cfg.json": '{"generator": {"degre": 3, "m": 10}}'},
      GENERATE_ARGS, r"^error: unknown generator section key 'degre'; known keys: type, n, "
      r"degree, rank, m, test_m, noise, seed, function$"),
@@ -688,7 +676,7 @@ REJECTED = [
      BENCH_ARGS, r"^error: benchmark config at sample-size=3: folds=5 is more than the m=3 "
      r"examples$"),
     ("train-link-list", {"cfg.json": '{"train": {"link": ["logistic"]}}', "in.csv": XY_CSV},
-     TRAIN_CFG_ARGS, r"^error: unknown link \['logistic'\]$"),
+     TRAIN_ARGS, r"^error: unknown link \['logistic'\]$"),
     ("model-link-list", {"model.json": json.dumps(json.loads(xy_model_json()) | {"link": ["x"]}),
                          "in.csv": "x1,x2\n1,2\n"}, PREDICT_ARGS, r"unknown link \['x'\]$"),
     *[(f"benchmark-{section}-misspelt-key", {"cfg.json": one_point_sweep(name, value, [section])},
@@ -699,54 +687,57 @@ REJECTED = [
           ("base", "base.nosie", 0.5, "nosie", "n, degree, rank, m, noise, seed"),
           ("sweep", "sweep.extra", 1, "extra", "variable, values"))],
     ("train-misspelt-top-level-key",
-     {"cfg.json": '{"trian": {"epochs": 1}}', "in.csv": XY_CSV}, TRAIN_CFG_ARGS,
+     {"cfg.json": '{"trian": {"epochs": 1}}', "in.csv": XY_CSV}, TRAIN_ARGS,
      rf"^error: unknown config key 'trian'; known keys: {TOP_LEVEL_KEYS}$"),
     *[(f"benchmark-misspelt-top-level-{key}", {"cfg.json": one_point_sweep(key, value)},
        BENCH_ARGS, rf"^error: unknown config key '{key}'; known keys: {TOP_LEVEL_KEYS}$")
       for key, value in (("lerners", ["krr"]), ("flods", 3))],
-    ("train-data-misspelt-key", {"cfg.json": '{"data": {"tset": "x"}}', "in.csv": XY_CSV},
-     TRAIN_CFG_ARGS, r"^error: unknown data section key 'tset'; known keys: train, views, labels$"),
-    *[(f"train-data-{case}", {"cfg.json": json.dumps({"data": data})}, TRAIN_FROM_CONFIG_ARGS,
-       rf"^error: data\.{key} must be {kind}, got {re.escape(repr(data[key]))}$")
-      for case, data, key, kind in (
-          ("views-string", {"views": "d/train.csv", "labels": "y.csv"}, "views",
-           "a non-empty list of paths"),
-          ("views-empty", {"views": [], "labels": "y.csv"}, "views", "a non-empty list of paths"),
-          ("train-list", {"train": ["d/train.csv"]}, "train", "a path"),
-          ("train-number", {"train": 2}, "train", "a path"),
-          ("labels-null", {"views": ["v.csv"], "labels": None}, "labels", "a path"))],
+    # file paths are flags only: a run config names no training data
+    ("train-data-section", {"cfg.json": '{"data": {"train": "in.csv"}}', "in.csv": XY_CSV},
+     TRAIN_FROM_CONFIG_ARGS, rf"^error: unknown config key 'data'; known keys: {TOP_LEVEL_KEYS}$"),
     ("train-rank_blocks-int",
      {"cfg.json": '{"train": {"mode": "layered", "rank_blocks": 5}}', "in.csv": XY_CSV},
-     TRAIN_CFG_ARGS, r"^error: layered mode needs rank_blocks of integers >= 1$"),
+     TRAIN_ARGS, r"^error: layered mode needs rank_blocks of integers >= 1$"),
     # every file error exits 2 and names the path: a directory or a missing file
-    *[(f"{flag[2:]}-{case}", {"in.csv": XY_CSV, "model.json": xy_model_json(), "dir/x": ""},
+    *[(f"{flag[2:]}-{case}",
+       {**ONE_EPOCH, "in.csv": XY_CSV, "model.json": xy_model_json(), "dir/x": ""},
        [a if a != path else f"{{dir}}/{name}" for a in argv],
        rf"^error: \[Errno {errno}\] [^:]*: '\S*/{name}'$")
-      for flag, argv, path in (("--config", TRAIN_CFG_ARGS, "{dir}/cfg.json"),
+      for flag, argv, path in (("--config", TRAIN_ARGS, "{dir}/cfg.json"),
                                ("--data", TRAIN_ARGS, "{dir}/in.csv"),
                                ("--model", PREDICT_ARGS, "{dir}/model.json"))
       for case, name, errno in (("directory", "dir", 21), ("missing", "nope.json", 2))],
-    *[(f"gradcheck-grid-multiview-{case}", {"cfg.json": json.dumps({"grid": [[1, 1, mv]]})},
-       GRADCHECK_ARGS,
-       rf"^error: grid multiview must be true, false, 0 or 1, got {re.escape(repr(mv))}$")
-      for case, mv in (("string", "false"), ("two", 2), ("float", 1.0), ("null", None))],
     ("benchmark-base-fraction",
      {"cfg.json": json.dumps({"sweep": {"variable": "noise", "values": [0.0]},
                               "base": {"n": 3.5, "degree": 2, "rank": 2, "m": 50}})},
      BENCH_ARGS, r"benchmark n at noise=0\.0 must be an integer >= 1, got 3\.5"),
+    # every command rejects nan/inf in the columns it reads
+    ("predict-nan-input", {"model.json": xy_model_json(), "in.csv": "x1,x2\n1,2\nnan,3\n"},
+     PREDICT_ARGS, r"^error: \S*in\.csv: X contains non-finite values$"),
+    ("evaluate-nan-truth", {"p.csv": "y\n1\n2\n", "t.csv": "y\n1\ninf\n"}, EVALUATE_ARGS,
+     r"^error: \S*t\.csv: Y contains non-finite values$"),
+    # truth that is not 0/1 is refused, not truncated to an integer
+    *[(f"evaluate-{task}-nonbinary-truth",
+       {"p.csv": "y1,y2\n0.9,0.1\n0.2,0.8\n", "t.csv": "y1,y2\n0.7,0\n0,1\n"},
+       EVALUATE_ARGS + ["--task", task], r"^error: Y_true must be binary 0/1$")
+      for task in ("classification", "multilabel")],
+    ("evaluate-topk-regression", {"p.csv": "y\n1\n2\n", "t.csv": "y\n1\n2\n"},
+     EVALUATE_ARGS + ["--task", "regression", "--topk", "2"],
+     r"^error: --topk applies to --task multilabel only$"),
 ]
 
-# (argv, shared flags the subcommand does not read): argparse rejects them
+# run values are set in the run config only; no command takes these flags
+OVERRIDE_FLAGS = ("--seed", "--degree", "--rank", "--epochs", "--batch", "--lr")
+# (command, argv, flags the subcommand does not read): argparse rejects them
 UNREAD_FLAGS = [
-    ("generate", GENERATE_ARGS, ["--epochs", "3"]),
-    ("generate", GENERATE_ARGS, ["--batch", "10"]),
-    ("generate", GENERATE_ARGS, ["--lr", "0.1"]),
-    *[("predict", PREDICT_ARGS, [flag, "3"]) for flag in
-      ("--config", "--seed", "--degree", "--rank", "--epochs", "--batch", "--lr")],
-    *[("evaluate", EVALUATE_ARGS, [flag, "3"]) for flag in
-      ("--config", "--seed", "--degree", "--rank", "--epochs", "--batch", "--lr")],
-    *[("gradcheck", ["gradcheck"], [flag, "5"]) for flag in
-      ("--seed", "--out", "--degree", "--rank", "--epochs", "--batch", "--lr")],
+    *[(command, argv, [flag, "3"])
+      for command, argv in (("generate", GENERATE_ARGS), ("train", TRAIN_ARGS),
+                            ("benchmark", BENCH_ARGS), ("predict", PREDICT_ARGS),
+                            ("evaluate", EVALUATE_ARGS))
+      for flag in OVERRIDE_FLAGS],
+    *[(command, argv, ["--config", "3"])
+      for command, argv in (("predict", PREDICT_ARGS), ("evaluate", EVALUATE_ARGS))],
+    *[("gradcheck", ["gradcheck"], [flag, "5"]) for flag in ("--config", "--out", *OVERRIDE_FLAGS)],
     ("gradcheck", ["gradcheck"], ["--corrupt", "flip-q"]),
 ]
 
@@ -811,17 +802,30 @@ def test_readme_lists_the_known_keys_of_each_section():
     assert listed == {key: known for key, known in RUN_CONFIG.items() if known is not None}
 
 
-def test_readme_lists_the_shared_flags_of_each_command():
-    table = README.read_text().split("| command | shared flags |")[1].split("\n\n")[0]
-    listed = {command: set(re.findall(r"--(\w+)", flags))
-              for commands, flags in re.findall(r"^\| (.*?) \| (.*) \|$", table, re.M)
-              for command in re.findall(r"`(\w+)`", commands)}
+def parser_options():
+    """Each subcommand's option strings, as `build_parser` defines them."""
     subcommands = next(action.choices for action in build_parser()._actions
                        if isinstance(action, argparse._SubParsersAction))
-    taken = {name: {option[2:] for action in sub._actions for option in action.option_strings
-                    if option[2:] in SHARED_FLAGS}
-             for name, sub in subcommands.items()}
-    assert listed == taken
+    return {name: {option for action in sub._actions for option in action.option_strings}
+            - {"-h", "--help"} for name, sub in subcommands.items()}
+
+
+def test_readme_lists_the_shared_flags_of_each_command():
+    table = README.read_text().split("| command | options |")[1].split("\n\n")[0]
+    listed = {command: set(re.findall(r"--\w+", options))
+              for command, options in re.findall(r"^\| `(\w+)` \| (.*) \|$", table, re.M)}
+    assert listed == parser_options()
+
+
+def test_readme_cli_lines_use_only_defined_options():
+    block = re.search(r"```bash\n(tensorpoly .*?)```", README.read_text(), re.S).group(1)
+    options = parser_options()
+    commands = set()
+    for line in re.sub(r"\\\n\s*", " ", block).splitlines():
+        _, command, *words = line.split("#")[0].split()
+        assert {w for w in words if w.startswith("--")} <= options[command], line
+        commands.add(command)
+    assert commands == set(options)
 
 
 def csv_writer_reference(header, rows):
