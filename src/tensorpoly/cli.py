@@ -94,6 +94,8 @@ def cmd_generate(args):
 
 def _read_training_data(args):
     if args.data:
+        if args.views or args.labels:
+            raise CliError("--data cannot be combined with --views/--labels")
         X, Y = _read_csv_checked(args.data, "xy")
         return Dataset(views=[X], Y=Y)
     if args.views:

@@ -117,8 +117,8 @@ def read_dataset_csv(path):
     if data.size and data.shape[1] != len(header):
         raise ValueError(f"{path}: rows have {data.shape[1]} columns, header has {len(header)}")
     data = data.reshape(-1, len(header))
-    X = data[:, x_idx] if x_idx else None
-    Y = data[:, y_idx] if y_idx else None
+    X = data.take(x_idx, axis=1) if x_idx else None  # C-order for the fit's row gathers
+    Y = data.take(y_idx, axis=1) if y_idx else None
     return X, Y
 
 

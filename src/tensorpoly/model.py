@@ -24,7 +24,7 @@ ORACLE_SIZE_CAP = 10_000_000
 
 
 def _as_float_matrix(X, name="X"):
-    A = np.asarray(X, dtype=float)
+    A = np.asarray(X, dtype=float, order="C")  # C-order float input is returned as is
     if A.ndim != 2:
         raise ValueError(f"{name} must be a 2-d array, got shape {A.shape}")
     return A
@@ -140,8 +140,8 @@ class Dataset:
     def __post_init__(self):
         if not isinstance(self.views, (list, tuple)) or len(self.views) == 0:
             raise ValueError("views must be a non-empty list of matrices")
-        self.views = [_as_float_matrix(V, f"views[{i}]") for i, V in enumerate(self.views)]
-        Y = np.asarray(self.Y, dtype=float)
+        self.views = _each_distinct(self.views, _finite_matrix)
+        Y = np.asarray(self.Y, dtype=float, order="C")
         if Y.ndim == 1:
             Y = Y.reshape(-1, 1)
         if Y.ndim != 2:
@@ -153,9 +153,8 @@ class Dataset:
                 raise ValueError(f"views[{i}] has {V.shape[0]} rows, expected {m}")
         if Y.shape[0] != m:
             raise ValueError(f"Y has {Y.shape[0]} rows, expected {m}")
-        for name, A in [*((f"views[{i}]", V) for i, V in enumerate(self.views)), ("Y", Y)]:
-            if not np.all(np.isfinite(A)):
-                raise ValueError(f"{name} contains non-finite values")
+        if not np.all(np.isfinite(Y)):
+            raise ValueError("Y contains non-finite values")
 
     @property
     def m(self):
@@ -174,7 +173,14 @@ class Dataset:
 
     def take(self, idx):
         """Row-subset dataset; serves the cross-validation folds."""
-        return Dataset(views=take_rows(self.views, idx), Y=self.Y[idx])
+        return Dataset(views=take_rows(self.views, idx), Y=np.take(self.Y, idx, axis=0))
+
+
+def _finite_matrix(d, V):
+    A = _as_float_matrix(V, f"views[{d}]")
+    if not np.all(np.isfinite(A)):
+        raise ValueError(f"views[{d}] contains non-finite values")
+    return A
 
 
 def _each_distinct(views, fn):
@@ -190,7 +196,7 @@ def _each_distinct(views, fn):
 def take_rows(views, idx):
     """Rows ``idx`` of each view, gathered once per distinct view object, so
     factors that share a view share its batch (and one `z_factors` product)."""
-    return _each_distinct(views, lambda d, V: V[idx])
+    return _each_distinct(views, lambda d, V: np.take(V, idx, axis=0))
 
 
 def resolve_views(views, n_d, dims=None, homogenized=False):

@@ -153,22 +153,23 @@ def _raw_loss(P, lam, Q, views, Y, offset, C_p, C_q, link):
     return data + reg_p + reg_q, raw
 
 
-def _raw_gradients(P, lam, Q, views, Y, offset, C_p, C_q, link):
+def _raw_gradients(P, lam, Q, views, Y, offset, C_p, C_q, link, train_q=True):
+    """``(g_lam, g_P, g_Q)`` at ``offset + raw``; ``g_Q`` is None unless ``train_q``."""
     m, n_y = Y.shape
     n_t = lam.shape[0]
     n_d = len(P)
     Z, F, raw = forward_terms(P, lam, Q, views)
     E = Y - LINKS[link][0](offset + raw)
     scale = 1.0 / (m * n_y)
-    EQt = E @ Q.T
-    g_lam = -scale * np.sum(F * EQt, axis=0)
+    EQt = (Q @ E.T).T  # Fortran-order like Z and F, so the products below are contiguous
+    g_lam = -scale * (F * EQt).sum(axis=0)
     parts = hadamard_partials(Z)
     weighted = EQt * lam
     g_P = []
     for d in range(n_d):
         data_term = (parts[d] * weighted).T @ views[d]
         g_P.append(-scale * data_term + (C_p / (n_t * n_d * P[d].shape[1])) * P[d])
-    g_Q = -scale * (lam[:, None] * (F.T @ E)) + (C_q / (n_t * n_y)) * Q
+    g_Q = -scale * (lam[:, None] * (F.T @ E)) + (C_q / (n_t * n_y)) * Q if train_q else None
     return g_lam, g_P, g_Q
 
 
@@ -263,7 +264,8 @@ def _fit_block(views, Y, offset, n_t, config, rng, phase):
             bviews = take_rows(views, idx)
             bt = np.take(targets, idx, axis=0)
             grads_b = _raw_gradients(
-                P, lam, Q, bviews, bt[:, :n_y], bt[:, n_y:], config.C_p, config.C_q, config.link
+                P, lam, Q, bviews, bt[:, :n_y], bt[:, n_y:], config.C_p, config.C_q, config.link,
+                train_q,
             )
             adam_step(state, (lam, P, Q), grads_b, config.learning_rate, update_q=train_q)
         L, raw = _raw_loss(P, lam, Q, views, Y, offset, config.C_p, config.C_q, config.link)

@@ -695,6 +695,13 @@ REJECTED = [
     # file paths are flags only: a run config names no training data
     ("train-data-section", {"cfg.json": '{"data": {"train": "in.csv"}}', "in.csv": XY_CSV},
      TRAIN_FROM_CONFIG_ARGS, rf"^error: unknown config key 'data'; known keys: {TOP_LEVEL_KEYS}$"),
+    # --data holds its own outputs: other training inputs next to it would go unread
+    ("train-data-with-labels", {**ONE_EPOCH, "in.csv": XY_CSV, "y.csv": "y\n9\n9\n"},
+     TRAIN_ARGS + ["--labels", "{dir}/y.csv"],
+     r"^error: --data cannot be combined with --views/--labels$"),
+    ("train-data-with-views", {**ONE_EPOCH, "in.csv": XY_CSV, "v.csv": "x1,x2\n1,2\n3,4\n"},
+     TRAIN_ARGS + ["--views", "{dir}/v.csv", "{dir}/v.csv"],
+     r"^error: --data cannot be combined with --views/--labels$"),
     ("train-rank_blocks-int",
      {"cfg.json": '{"train": {"mode": "layered", "rank_blocks": 5}}', "in.csv": XY_CSV},
      TRAIN_ARGS, r"^error: layered mode needs rank_blocks of integers >= 1$"),
@@ -865,6 +872,13 @@ class TestDatasetCsv:
             header, rows = ["x1", "x2", "x3", "x4"] + names, np.hstack([X, Y])
         write_dataset_csv(tmp_path / "d.csv", X, Y)
         assert (tmp_path / "d.csv").read_bytes() == csv_writer_reference(header, rows).encode()
+
+    def test_read_returns_c_contiguous_arrays(self, tmp_path):
+        # the fit gathers batch rows with np.take, which is slow on a Fortran-order X
+        (tmp_path / "d.csv").write_text("y1,x1,x2,y2,x3\n1,2,3,4,5\n6,7,8,9,10\n")
+        X, Y = read_dataset_csv(tmp_path / "d.csv")
+        assert X.flags.c_contiguous and Y.flags.c_contiguous
+        assert X.tolist() == [[2, 3, 5], [7, 8, 10]] and Y.tolist() == [[1, 4], [6, 9]]
 
     def test_prediction_bytes_match_csv_writer_reference(self, tmp_path):
         Y = np.random.default_rng(22).standard_normal((30, 2))

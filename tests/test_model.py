@@ -20,6 +20,7 @@ from tensorpoly.model import (
     hadamard_partials,
     homogenize,
     resolve_views,
+    take_rows,
     z_factors,
 )
 
@@ -357,6 +358,41 @@ class TestTake:
         assert mixed.views[1] is not mixed.views[0]
         assert np.array_equal(mixed.views[0], X[idx])
         assert np.array_equal(mixed.views[1], -X[idx])
+
+
+class TestLayout:
+    """Views and batches are C-contiguous whatever the input's layout, and a
+    shared view stays one object through conversion."""
+
+    INPUTS = {"fortran": np.asfortranarray, "row-strided": lambda X: X[::2]}
+
+    @pytest.mark.parametrize("layout", INPUTS)
+    def test_resolve_views_and_take_rows_are_c_contiguous(self, layout):
+        X = self.INPUTS[layout](np.arange(48.0).reshape(12, 4))
+        idx = np.array([3, 0, 5])
+        views = resolve_views([X], 3)
+        assert views[0] is views[1] is views[2] and views[0].flags.c_contiguous
+        assert np.array_equal(views[0], X)
+        for batch in (take_rows(views, idx), take_rows([X], idx)):
+            assert batch[0].flags.c_contiguous and np.array_equal(batch[0], X[idx])
+
+    def test_c_order_view_is_not_copied(self):
+        X = np.arange(12.0).reshape(6, 2)
+        assert resolve_views([X], 2)[0] is X
+        assert Dataset(views=[X, X], Y=np.zeros(6)).views[0] is X
+
+    def test_shared_fortran_view_is_converted_once(self):
+        Xf = np.asfortranarray(np.arange(12.0).reshape(6, 2))
+        views = Dataset(views=[Xf, Xf, Xf], Y=np.zeros(6)).views
+        assert views[0] is views[1] is views[2]
+        assert views[0].flags.c_contiguous and np.array_equal(views[0], Xf)
+
+    def test_shared_view_is_finite_checked_once(self, monkeypatch):
+        calls = []
+        real_isfinite = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda A: calls.append(A.shape) or real_isfinite(A))
+        Dataset(views=[np.zeros((6, 2))] * 3, Y=np.zeros(6))
+        assert calls == [(6, 2), (6, 1)]
 
 
 class TestValidation:

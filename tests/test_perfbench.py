@@ -5,8 +5,9 @@ perfbench calls tensorpoly functions by name and counts some of them
 once per FM forward pass), so a refactor that renames or bypasses one
 breaks the benchmark without failing any unit test. Each tiny traced run
 also probes the cli, io, metrics, baselines and benchmark modules through
-their tiny workloads; the sweep-degree run goes through the sweep runner,
-cross-validation and every baseline itself, and the fit-layered-wide run
+their tiny workloads; the cli-reference run goes through the CSV read,
+fit and predict round trip itself, the sweep-degree run through the sweep
+runner, cross-validation and every baseline, and the fit-layered-wide run
 through the block-deflation loop and a trained Q.
 """
 
@@ -20,7 +21,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["fit-joint-reference", "fit-layered-wide", "sweep-degree"])
+@pytest.mark.parametrize("workload",
+                         ["cli-reference", "fit-joint-reference", "fit-layered-wide", "sweep-degree"])
 def test_tiny_traced_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,

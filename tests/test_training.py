@@ -10,7 +10,14 @@ from tensorpoly import (
     predict,
     quadratics_dataset,
 )
-from tensorpoly.training import AdamState, TrainingDivergedError, adam_step, gradients, loss
+from tensorpoly.training import (
+    AdamState,
+    TrainingDivergedError,
+    _raw_gradients,
+    adam_step,
+    gradients,
+    loss,
+)
 from tensorpoly.gradcheck import TOLERANCE, max_relative_error, numeric_gradients, run_suite
 from tensorpoly.metrics import accuracy
 from tensorpoly.model import homogenize
@@ -150,6 +157,17 @@ class TestGradients:
         assert all(err <= TOLERANCE for _, _, err, _ in rows)
         # the degree-1 empty-product path is part of the grid
         assert any(shape[0] == 1 for shape, *_ in rows)
+
+
+    @pytest.mark.parametrize("n_y", [1, 3])
+    def test_frozen_q_skips_only_the_q_gradient(self, n_y):
+        model, ds = make_instance(9, m=40, n=3, n_d=3, n_t=2, n_y=n_y)
+        args = (model.P, model.lam, model.Q, [ds.X] * 3, ds.Y, 0.0, 0.2, 0.1, "identity")
+        g_lam, g_P, g_Q = _raw_gradients(*args)
+        f_lam, f_P, f_Q = _raw_gradients(*args, train_q=False)
+        assert f_Q is None and g_Q.shape == model.Q.shape
+        assert np.array_equal(f_lam, g_lam)
+        assert all(np.array_equal(f, g) for f, g in zip(f_P, g_P))
 
 
 class TestAdamStep:
@@ -603,6 +621,20 @@ class TestTrainingInvariants:
         assert np.allclose(predict(shared, X), predict(copies, [X] * 3), rtol=1e-12, atol=0)
         assert np.allclose(shared_report.loss_traces, copies_report.loss_traces,
                            rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("mode,n_y", [("joint", 3), ("rank_wise", 1), ("layered", 1)])
+    def test_fortran_order_input_fits_bit_identically(self, mode, n_y):
+        rng = np.random.default_rng(13)
+        X = rng.standard_normal((300, 4))
+        Y = rng.standard_normal((300, n_y))
+        cfg = TrainConfig(n_d=3, n_t=2, epochs=2, batch_size=64, learning_rate=0.05,
+                          mode=mode, rank_blocks=[1, 1] if mode == "layered" else None, seed=4)
+        c_model, c_report = fit(Dataset(views=[X], Y=Y), cfg)
+        f_model, f_report = fit(Dataset(views=[np.asfortranarray(X)], Y=np.asfortranarray(Y)), cfg)
+        for a, b in zip([*c_model.P, c_model.Q, c_model.lam], [*f_model.P, f_model.Q, f_model.lam]):
+            assert np.array_equal(a, b)
+        assert c_report.loss_traces == f_report.loss_traces
+        assert c_report.residual_norms == f_report.residual_norms
 
     def test_shuffle_false_is_sequential_and_deterministic(self):
         ds = quadratics_dataset("xy", 300, seed=2)
