@@ -17,7 +17,7 @@ from . import baselines
 from .datagen import GeneratorSpec, generate_model, sample_dataset
 from .io import RUN_CONFIG, check_config
 from .metrics import _stderr, cross_validate
-from .model import integral, predict, real
+from .model import integral, predict
 from .training import TrainConfig, fit
 
 # sweep variable -> the base key it sets
@@ -81,15 +81,10 @@ def _build_learner(name, params, cfg):
         return ltr_learner(TrainConfig(**train_cfg))
     if name == "lr":
         return linreg_learner()
-    # krr and fm forward only the keys their section sets, so the baselines' defaults hold
     if name == "krr":
-        krr = {"b" if key == "bias" else key: real(f"krr.{key}", value)
-               for key, value in cfg.get("krr", {}).items()}
-        return krr_learner(n_d=params["degree"], **krr)
-    fm = dict(cfg.get("fm", {}))  # the last of LEARNERS; run_benchmark checked its counts
-    if "learning_rate" in fm:
-        fm["learning_rate"] = real("fm.learning_rate", fm["learning_rate"])
-    return fm_learner(params["degree"], params["rank"], **fm)
+        return krr_learner(n_d=params["degree"])
+    # fm is the last of LEARNERS; run_benchmark checked the counts its section sets
+    return fm_learner(params["degree"], params["rank"], **cfg.get("fm", {}))
 
 
 def _run_point(point, variable, folds):
@@ -139,10 +134,8 @@ def run_benchmark(cfg):
                          f"{LEARNERS}, got {learners!r}")
     seed = integral("benchmark base.seed", cfg["base"].get("seed", 0), 0)
     folds = integral("benchmark folds", cfg.get("folds", 2), 2)
-    fm = cfg.get("fm", {})
-    for key, low in (("steps", 1), ("restarts", 1), ("seed", 0)):  # counts; none is truncated
-        if key in fm:
-            integral(f"benchmark fm.{key}", fm[key], low)
+    for key, value in cfg.get("fm", {}).items():  # steps and restarts: counts, none truncated
+        integral(f"benchmark fm.{key}", value, 1)
     points = []  # every point's data spec and learners, built before the first fit
     for index, value in enumerate(values):
         params = _point_params(cfg["base"], variable, value)

@@ -30,12 +30,12 @@ def central_difference(objective, arr, h):
     return g
 
 
-def numeric_gradients(model, dataset, config, h=1e-5):
-    """Central finite differences of `loss` w.r.t. every parameter entry."""
+def numeric_gradients(model, dataset, config):
+    """Central finite differences of `loss`, step 1e-5, w.r.t. every parameter entry."""
     objective = functools.partial(loss, model, dataset, config)
-    g_lam = central_difference(objective, model.lam, h)
-    g_P = [central_difference(objective, Pd, h) for Pd in model.P]
-    g_Q = central_difference(objective, model.Q, h)
+    g_lam = central_difference(objective, model.lam, 1e-5)
+    g_P = [central_difference(objective, Pd, 1e-5) for Pd in model.P]
+    g_Q = central_difference(objective, model.Q, 1e-5)
     return g_lam, g_P, g_Q
 
 

@@ -35,8 +35,7 @@ RUN_CONFIG = {
     "train": tuple(f.name for f in fields(TrainConfig)),
     "base": ("n", "degree", "rank", "m", "noise", "seed"),
     "sweep": ("variable", "values"),
-    "krr": ("bias", "ridge"),
-    "fm": ("steps", "learning_rate", "restarts", "seed"),
+    "fm": ("steps", "restarts"),
     **dict.fromkeys(("learners", "folds", "schema_version", "files", "true_model")),
 }
 
@@ -147,11 +146,13 @@ def model_from_dict(d):
     for key in ("P", "Q", "lambda", "homogenized"):
         if key not in d:
             raise ValueError(f"model file is missing key {key!r}")
+    if not isinstance(d["homogenized"], bool):
+        raise ValueError(f"homogenized must be true or false, got {d['homogenized']!r}")
     return LtrModel(
         P=[np.asarray(Pd, dtype=float) for Pd in d["P"]],
         Q=np.asarray(d["Q"], dtype=float),
         lam=np.asarray(d["lambda"], dtype=float),
-        homogenized=bool(d["homogenized"]),
+        homogenized=d["homogenized"],
         link=d.get("link", "identity"),
     )
 

@@ -39,10 +39,10 @@ def rmse(y, yhat):
     return float(np.sqrt(np.mean((y - yhat) ** 2)))
 
 
-def accuracy(y_true, y_prob, threshold=0.5):
-    """Fraction of correct {0,1} decisions at the given threshold."""
+def accuracy(y_true, y_prob):
+    """Fraction of correct {0,1} decisions at threshold 0.5."""
     y_true = np.asarray(y_true, dtype=float).reshape(-1)
-    pred = (np.asarray(y_prob, dtype=float).reshape(-1) >= threshold).astype(float)
+    pred = (np.asarray(y_prob, dtype=float).reshape(-1) >= 0.5).astype(float)
     if y_true.shape[0] != pred.shape[0]:
         raise ValueError("length mismatch")
     if y_true.shape[0] == 0:

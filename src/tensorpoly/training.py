@@ -5,13 +5,14 @@ terms. Each block is initialized and trained by epochs of shuffled
 mini-batches with ADAM updates, with the earlier blocks' summed output
 as a fixed offset inside the link (`model.LINKS`: identity for
 regression, logistic for {0,1} labels, in every mode); a block that
-raises the training data loss is zeroed out.
+raises the training data loss is zeroed out. Every mode takes vector
+outputs and multi-view inputs.
 
 * ``joint`` is a single block of all ``n_t`` terms on the matrix
-  objective; supports vector outputs and multi-view inputs.
+  objective.
 * ``layered`` fits ``rank_blocks`` in turn and records the correlation
   ratio of per-layer predictions.
-* ``rank_wise`` fits one-term blocks (scalar outputs only).
+* ``rank_wise`` fits one-term blocks.
 """
 
 from __future__ import annotations
@@ -53,8 +54,9 @@ class TrainConfig:
 
     Defaults follow the benchmark-protocol settings (batch 500,
     C_p = C_q = 1e-5, 10 epochs). ``rank_blocks`` partitions the rank
-    range and is required in layered mode only. ADAM's moment decays and
-    epsilon are the constants of Kingma & Ba, not settings.
+    range; layered mode needs it and the other modes refuse it. ADAM's
+    moment decays and epsilon are the constants of Kingma & Ba, not
+    settings.
     """
 
     adam_beta1: ClassVar[float] = 0.9
@@ -72,7 +74,6 @@ class TrainConfig:
     rank_blocks: list = None
     link: str = "identity"
     seed: int = 0
-    shuffle: bool = True
     homogenize: bool = False
 
     def __post_init__(self):
@@ -80,10 +81,8 @@ class TrainConfig:
             integral(name, getattr(self, name), low)
         for name in ("C_p", "C_q", "learning_rate"):
             real(name, getattr(self, name))
-        for name in ("shuffle", "homogenize"):
-            value = getattr(self, name)
-            if not isinstance(value, (bool, np.bool_)):
-                raise ValueError(f"{name} must be true or false, got {value!r}")
+        if not isinstance(self.homogenize, (bool, np.bool_)):
+            raise ValueError(f"homogenize must be true or false, got {self.homogenize!r}")
         if self.C_p < 0 or self.C_q < 0:
             raise ValueError("regularization constants must be nonnegative")
         if self.learning_rate <= 0:
@@ -100,6 +99,8 @@ class TrainConfig:
             if sum(blocks) != self.n_t:
                 raise ValueError("rank_blocks must sum to n_t")
             self.rank_blocks = [int(b) for b in blocks]
+        elif self.rank_blocks is not None:
+            raise ValueError(f"rank_blocks applies to layered mode only, not {self.mode!r}")
 
 
 @dataclass
@@ -258,7 +259,7 @@ def _fit_block(views, Y, offset, n_t, config, rng, phase):
     # Y and offset side by side, so each batch gathers both in one C-order `np.take`
     targets = np.hstack([Y, offset])
     for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(m) if config.shuffle else np.arange(m)
+        order = rng.permutation(m)
         for start in range(0, m, B):
             idx = order[start:start + B]
             bviews = take_rows(views, idx)
@@ -280,15 +281,13 @@ def fit(dataset, config):
 
     Every mode is one loop over blocks of terms: ``joint`` is a single
     block of all ``n_t`` terms, ``layered`` fits ``config.rank_blocks``
-    and ``rank_wise`` fits ``n_t`` one-term blocks (scalar outputs only).
+    and ``rank_wise`` fits ``n_t`` one-term blocks.
     Each block is fitted with the earlier blocks' summed pre-link output
     as a fixed offset inside the link, and a block that raises the
     training data loss is zeroed out, so that loss never rises from block
     to block. Layered fits also record the correlation ratio of the
     per-layer predictions.
     """
-    if config.mode == "rank_wise" and dataset.n_y != 1:
-        raise ValueError("rank-wise mode handles scalar outputs only")
     if config.link == "logistic" and not np.all((dataset.Y == 0.0) | (dataset.Y == 1.0)):
         raise ValueError("logistic fitting needs binary {0,1} labels")
     blocks = {"joint": [config.n_t], "layered": config.rank_blocks,

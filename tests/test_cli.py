@@ -532,10 +532,10 @@ EVALUATE_ARGS = ["evaluate", "--predictions", "{dir}/p.csv", "--truth", "{dir}/t
 NO_BASE = json.dumps({"sweep": {"variable": "degree", "values": [1]}})
 XY_CSV = "x1,x2,y\n1,2,2\n3,4,12\n"
 TRAIN_FROM_CONFIG_ARGS = ["train", "--config", "{dir}/cfg.json", "--out", "{dir}/out"]
-TOP_LEVEL_KEYS = ("generator, train, base, sweep, krr, fm, learners, folds, schema_version, "
-                  "files, true_model")
+TOP_LEVEL_KEYS = ("generator, train, base, sweep, fm, learners, folds, schema_version, files, "
+                  "true_model")
 TRAIN_KEYS = ("n_d, n_t, C_p, C_q, learning_rate, epochs, batch_size, mode, rank_blocks, link, "
-              "seed, shuffle, homogenize")
+              "seed, homogenize")
 # x1 * x2 on inputs that get a trailing 1 column: its factors are 3 wide, its input 2
 HOMOGENIZED_XY_MODEL = json.dumps(model_to_dict(LtrModel(
     P=[np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 1.0, 0.0]])], Q=np.ones((1, 1)), lam=[1.0],
@@ -604,7 +604,7 @@ REJECTED = [
     *[(f"benchmark-{name}-fraction", {"cfg.json": one_point_sweep(name, value)}, BENCH_ARGS,
        rf"^error: benchmark {name} must be an integer >= {low}, got {re.escape(repr(value))}$")
       for name, value, low in (("base.seed", 1.9, 0), ("folds", 2.9, 2), ("fm.steps", 2.5, 1),
-                               ("fm.restarts", 1.5, 1), ("fm.seed", 0.5, 0))],
+                               ("fm.restarts", 1.5, 1))],
     ("predict-header-only-wrong-width",
      {"model.json": xy_model_json(), "in.csv": "x1,x2,x3,x4,x5\n"}, PREDICT_ARGS,
      r"^error: prediction input mismatch: view 0 has 5 columns, factor expects 2$"),
@@ -627,14 +627,8 @@ REJECTED = [
     *[(f"evaluate-topk{k}", {"p.csv": "y1,y2\n0.9,0.1\n0.2,0.8\n", "t.csv": "y1,y2\n1,0\n0,1\n"},
        EVALUATE_ARGS + ["--task", "multilabel", "--topk", k],
        rf"^error: --topk must be an integer >= 1, got {k}$") for k in ("0", "-1")],
-    *[(f"benchmark-{case}", {"cfg.json": one_point_sweep(name, value, learners)}, BENCH_ARGS,
-       rf"^error: benchmark config at degree=1: {message}$")
-      for case, name, value, learners, message in (
-          ("krr-string", "krr.ridge", "x", ["krr"], r"krr\.ridge must be a finite number, got 'x'"),
-          ("fm-string", "fm.learning_rate", "fast", ["fm"],
-           r"fm\.learning_rate must be a finite number, got 'fast'"),
-          ("noise-list", "base.noise", [1], ["lr"],
-           r"noise_level must be a finite number, got \[1\]"))],
+    ("benchmark-noise-list", {"cfg.json": one_point_sweep("base.noise", [1], ["lr"])}, BENCH_ARGS,
+     r"^error: benchmark config at degree=1: noise_level must be a finite number, got \[1\]$"),
     ("benchmark-train-unknown-key", {"cfg.json": one_point_sweep("train.epoch", 3, ["ltr"])},
      BENCH_ARGS, rf"^error: unknown train section key 'epoch'; known keys: {TRAIN_KEYS}$"),
     # ADAM's decays and epsilon are constants, not settings
@@ -652,9 +646,27 @@ REJECTED = [
     ("generate-quadratics-function-list",
      {"cfg.json": '{"generator": {"type": "quadratics", "function": ["xy"]}}'}, GENERATE_ARGS,
      r"^error: unknown function \['xy'\], pick from \['diff_sq', 'sq_diff', 'xy'\]$"),
-    *[(f"train-{key}-string", {"cfg.json": json.dumps({"train": {key: "false"}}), "in.csv": XY_CSV},
-       TRAIN_ARGS, rf"^error: {key} must be true or false, got 'false'$")
-      for key in ("homogenize", "shuffle")],
+    ("train-homogenize-string",
+     {"cfg.json": '{"train": {"homogenize": "false"}}', "in.csv": XY_CSV}, TRAIN_ARGS,
+     r"^error: homogenize must be true or false, got 'false'$"),
+    # a string "false" is truthy: read as a flag, it would make the model homogenized
+    ("model-homogenized-string",
+     {"model.json": json.dumps(json.loads(xy_model_json()) | {"homogenized": "false"}),
+      "in.csv": "x1\n2\n"}, PREDICT_ARGS,
+     r"^error: homogenized must be true or false, got 'false'$"),
+    # rows are visited in a fresh seeded order every epoch; the baselines are fixed learners
+    ("train-shuffle", {"cfg.json": '{"train": {"shuffle": false}}', "in.csv": XY_CSV}, TRAIN_ARGS,
+     rf"^error: unknown train section key 'shuffle'; known keys: {TRAIN_KEYS}$"),
+    ("benchmark-krr-section", {"cfg.json": one_point_sweep("krr.ridge", 1e-6, ["krr"])},
+     BENCH_ARGS, rf"^error: unknown config key 'krr'; known keys: {TOP_LEVEL_KEYS}$"),
+    *[(f"benchmark-fm.{key}", {"cfg.json": one_point_sweep(f"fm.{key}", value, ["fm"])},
+       BENCH_ARGS, rf"^error: unknown fm section key '{key}'; known keys: steps, restarts$")
+      for key, value in (("learning_rate", 0.01), ("seed", 3))],
+    # rank_blocks partitions the terms of a layered fit only; elsewhere it would go unread
+    ("train-rank_blocks-joint",
+     {"cfg.json": '{"train": {"mode": "joint", "n_t": 2, "rank_blocks": [1, 1]}}',
+      "in.csv": XY_CSV}, TRAIN_ARGS,
+     r"^error: rank_blocks applies to layered mode only, not 'joint'$"),
     ("generate-misspelt-key", {"cfg.json": '{"generator": {"degre": 3, "m": 10}}'},
      GENERATE_ARGS, r"^error: unknown generator section key 'degre'; known keys: type, n, "
      r"degree, rank, m, test_m, noise, seed, function$"),
@@ -682,8 +694,7 @@ REJECTED = [
     *[(f"benchmark-{section}-misspelt-key", {"cfg.json": one_point_sweep(name, value, [section])},
        BENCH_ARGS, rf"^error: unknown {section} section key {key!r}; known keys: {known}$")
       for section, name, value, key, known in (
-          ("krr", "krr.ridg", 1e-6, "ridg", "bias, ridge"),
-          ("fm", "fm.step", 10, "step", "steps, learning_rate, restarts, seed"),
+          ("fm", "fm.step", 10, "step", "steps, restarts"),
           ("base", "base.nosie", 0.5, "nosie", "n, degree, rank, m, noise, seed"),
           ("sweep", "sweep.extra", 1, "extra", "variable, values"))],
     ("train-misspelt-top-level-key",

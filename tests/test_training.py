@@ -381,13 +381,28 @@ class TestFitRankwise:
         assert np.all(model.lam == 0.0) == dropped
 
     def test_mode_and_output_preconditions(self):
-        # vector outputs need a mode that trains Q; rank-wise rejects them
         ds = quadratics_dataset("xy", 50, seed=1)
         multi = Dataset(views=[ds.X], Y=np.ones((50, 2)))
-        with pytest.raises(ValueError, match="scalar outputs only"):
-            fit(multi, TrainConfig(n_d=2, n_t=1, mode="rank_wise"))
         model, _ = fit(multi, TrainConfig(n_d=2, n_t=1, mode="joint", epochs=1, batch_size=10))
         assert model.n_y == 2
+
+    @pytest.mark.parametrize("link", ["identity", "logistic"])
+    @pytest.mark.parametrize("n_y", [1, 2])
+    def test_equals_layered_one_term_blocks(self, n_y, link):
+        # a rank-wise fit is a layered fit of one-term blocks, for vector outputs too
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((300, 3))
+        Y = (X[:, :1] * X[:, 1:2]) @ rng.standard_normal((1, n_y))
+        ds = Dataset(views=[X], Y=(Y > 0).astype(float) if link == "logistic" else Y)
+        kw = dict(n_d=2, n_t=3, epochs=3, batch_size=50, learning_rate=0.05, link=link, seed=5)
+        rw_model, rw_report = fit(ds, TrainConfig(mode="rank_wise", **kw))
+        ly_model, ly_report = fit(ds, TrainConfig(mode="layered", rank_blocks=[1] * 3, **kw))
+        assert rw_model.n_y == n_y
+        for a, b in zip([*rw_model.P, rw_model.Q, rw_model.lam],
+                        [*ly_model.P, ly_model.Q, ly_model.lam]):
+            assert np.array_equal(a, b)
+        assert rw_report.loss_traces == ly_report.loss_traces
+        assert rw_report.residual_norms == ly_report.residual_norms
 
 
 class TestFitJoint:
@@ -636,15 +651,6 @@ class TestTrainingInvariants:
         assert c_report.loss_traces == f_report.loss_traces
         assert c_report.residual_norms == f_report.residual_norms
 
-    def test_shuffle_false_is_sequential_and_deterministic(self):
-        ds = quadratics_dataset("xy", 300, seed=2)
-        cfg = TrainConfig(n_d=2, n_t=1, epochs=3, batch_size=64,
-                          learning_rate=0.05, mode="rank_wise", seed=1,
-                          shuffle=False)
-        m1, _ = fit(ds, cfg)
-        m2, _ = fit(ds, cfg)
-        assert np.array_equal(m1.lam, m2.lam)
-
 
 class TestFitDispatcher:
     def test_routes_by_mode(self):
@@ -682,6 +688,8 @@ class TestConfigValidation:
         dict(seed=0.5),
         dict(mode="layered", n_t=3, rank_blocks=[1.7, 1.3]),
         dict(mode="layered", n_t=2, rank_blocks=[2.0]),
+        dict(mode="joint", rank_blocks=[1, 1]),
+        dict(mode="rank_wise", rank_blocks=[2]),
     ], ids=lambda kw: ",".join(f"{k}={v!r}" for k, v in kw.items()))
     def test_rejects_values_it_cannot_train_with(self, kw):
         with pytest.raises(ValueError):
