@@ -41,8 +41,7 @@ def krr_fit(dataset, b=1.0, n_d=2, ridge=1e-8):
     if X.shape[0] > KRR_SIZE_CAP:
         raise ValueError(f"m={X.shape[0]} exceeds the dense-solve cap {KRR_SIZE_CAP}")
     K = poly_kernel(X, X, b, n_d)
-    if ridge > 0:
-        K = K + ridge * np.eye(K.shape[0])
+    K.flat[:: K.shape[0] + 1] += ridge  # the diagonal, in place
     try:
         alpha = np.linalg.solve(K, dataset.Y[:, 0])
     except np.linalg.LinAlgError as exc:

@@ -14,9 +14,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import baselines
-from .datagen import GeneratorSpec, generate_model, sample_dataset
-from .io import RUN_CONFIG, check_config
-from .metrics import _stderr, cross_validate
+from .datagen import generate_model, sample_dataset
+from .io import RUN_CONFIG, check_config, generator_spec
+from .metrics import cross_validate
 from .model import integral, predict
 from .training import TrainConfig, fit
 
@@ -95,9 +95,8 @@ def _run_point(point, variable, folds):
     for name, learner in learners:
         try:
             result = cross_validate(dataset, learner, folds, seed=fold_seed)
-            stats = [(result.mean_pearson, result.stderr_pearson),
-                     (result.mean_rmse, result.stderr_rmse),
-                     (float(np.mean(result.fit_seconds)), _stderr(result.fit_seconds))]
+            stats = [(float(np.mean(v)), float(np.std(v, ddof=1) / np.sqrt(len(v))))  # folds >= 2
+                     for v in (result.fold_pearson, result.fold_rmse, result.fit_seconds)]
             status = "ok"
         except Exception as exc:  # keep sweeping, record the failure in-row
             stats, status = [(float("nan"), float("nan"))] * 3, f"failed: {exc}"
@@ -134,26 +133,24 @@ def run_benchmark(cfg):
                          f"{LEARNERS}, got {learners!r}")
     seed = integral("benchmark base.seed", cfg["base"].get("seed", 0), 0)
     folds = integral("benchmark folds", cfg.get("folds", 2), 2)
+    threads = os.environ.get(THREADS_ENV, "1")
+    if not threads.isdigit() or int(threads) < 1:
+        raise ValueError(f"{THREADS_ENV} must be an integer >= 1, got {threads!r}")
     for key, value in cfg.get("fm", {}).items():  # steps and restarts: counts, none truncated
         integral(f"benchmark fm.{key}", value, 1)
     points = []  # every point's data spec and learners, built before the first fit
     for index, value in enumerate(values):
         params = _point_params(cfg["base"], variable, value)
-        for key in ("n", "degree", "rank", "m"):  # sizes are counts; none is truncated
-            integral(f"benchmark {key} at {variable}={value!r}", params[key])
         model_seed, data_seed, fold_seed = _point_seeds(seed, index)
         try:
-            spec = GeneratorSpec(n=params["n"], n_d=params["degree"], n_t=params["rank"],
-                                 m=params["m"], noise_level=params.get("noise", 0.0),
-                                 seed=model_seed)
+            spec = generator_spec(params, model_seed)
             if spec.m < folds:
                 raise ValueError(f"folds={folds} is more than the m={spec.m} examples")
             built = [(name, _build_learner(name, params, cfg)) for name in learners]
         except (TypeError, ValueError) as exc:
             raise ValueError(f"benchmark config at {variable}={value!r}: {exc}") from exc
         points.append((value, spec, data_seed, fold_seed, built))
-    workers = max(1, int(os.environ.get(THREADS_ENV, "1")))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=int(threads)) as pool:
         per_point = list(pool.map(lambda point: _run_point(point, variable, folds), points))
     rows = [row for point in per_point for row in point]
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import gradcheck as gradcheck_mod
 from . import io as tio
 from .benchmark import run_benchmark
-from .datagen import GeneratorSpec, generate_model, sample_dataset, quadratics_dataset
+from .datagen import generate_model, sample_dataset, quadratics_dataset
 from .metrics import accuracy, column_scores, f1_multilabel, top_k_binarize
 from .model import Dataset, integral, predict
 from .training import TrainConfig, TrainingDivergedError, fit
@@ -41,9 +41,7 @@ def _load_config(path):
 
 
 def _out_path(args, name):
-    out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, name)
+    return os.path.join(args.out or ".", name)
 
 
 def cmd_generate(args):
@@ -59,14 +57,7 @@ def cmd_generate(args):
 
     true_model_file = None
     if gtype == "random":
-        spec = GeneratorSpec(
-            n=integral("n", gen.get("n", 2)),
-            n_d=integral("degree", gen.get("degree", 2)),
-            n_t=integral("rank", gen.get("rank", 2)),
-            m=m,
-            noise_level=gen.get("noise", 0.0),
-            seed=seed,
-        )
+        spec = tio.generator_spec(gen | {"m": m}, seed)
         model = generate_model(spec)
         train = sample_dataset(model, m, spec.noise_level, seed=seed)
         test = sample_dataset(model, test_m, spec.noise_level, seed=test_seed)

@@ -20,7 +20,8 @@ from io import StringIO
 
 import numpy as np
 
-from .model import LtrModel
+from .datagen import GeneratorSpec
+from .model import LtrModel, integral, real
 from .training import TrainConfig
 
 MODEL_SCHEMA_VERSION = 1
@@ -28,6 +29,19 @@ MODEL_SCHEMA_VERSION = 1
 # generator type -> the generator keys it reads; `generate` rejects any other
 GENERATOR_KEYS = {"random": ("type", "n", "degree", "rank", "m", "test_m", "noise", "seed"),
                   "quadratics": ("type", "m", "test_m", "seed", "function")}
+
+
+def generator_spec(section, seed):
+    """The `GeneratorSpec` that a random generator section, or a sweep's base section at one
+    grid point, sets with ``seed``; ``m`` must be set, and a ValueError names a bad key."""
+    n, n_d, n_t = (integral(key, section.get(key, 2)) for key in ("n", "degree", "rank"))
+    noise = section.get("noise", 0.0)
+    if real("noise", noise) < 0:
+        raise ValueError(f"noise must be nonnegative, got {noise!r}")
+    # GeneratorSpec checks m and seed under these same names
+    return GeneratorSpec(n=n, n_d=n_d, n_t=n_t, m=section["m"], noise_level=noise, seed=seed)
+
+
 # The keys a run config may hold: a section maps to its known keys, a plain
 # value to None. `generate --config` also re-runs from a manifest's keys.
 RUN_CONFIG = {
@@ -38,6 +52,9 @@ RUN_CONFIG = {
     "fm": ("steps", "restarts"),
     **dict.fromkeys(("learners", "folds", "schema_version", "files", "true_model")),
 }
+# The keys a model file may hold, all plain values
+MODEL_KEYS = dict.fromkeys(("schema_version", "n_d", "n_t", "n", "n_y", "homogenized", "lambda",
+                            "P", "Q", "link"))
 
 
 def _atomic_write(path, text):
@@ -121,15 +138,17 @@ def read_dataset_csv(path):
     return X, Y
 
 
-def model_to_dict(model):
+def _shape_keys(model):
+    """The shape keys of a model file: degree, rank, input width(s) and outputs."""
     dims = model.dims
-    n = dims[0] if len(set(dims)) == 1 else list(dims)
+    return {"n_d": model.n_d, "n_t": model.n_t, "n": dims[0] if len(set(dims)) == 1 else list(dims),
+            "n_y": model.n_y}
+
+
+def model_to_dict(model):
     return {
         "schema_version": MODEL_SCHEMA_VERSION,
-        "n_d": model.n_d,
-        "n_t": model.n_t,
-        "n": n,
-        "n_y": model.n_y,
+        **_shape_keys(model),
         "homogenized": bool(model.homogenized),
         "lambda": [float(v) for v in model.lam],
         "P": [[[float(v) for v in row] for row in Pd] for Pd in model.P],
@@ -143,18 +162,21 @@ def model_from_dict(d):
         raise ValueError(f"model file must hold a JSON object, got {type(d).__name__}")
     if d.get("schema_version") != MODEL_SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema version {d.get('schema_version')!r}")
+    check_config(d, MODEL_KEYS, "model file")
     for key in ("P", "Q", "lambda", "homogenized"):
         if key not in d:
             raise ValueError(f"model file is missing key {key!r}")
     if not isinstance(d["homogenized"], bool):
         raise ValueError(f"homogenized must be true or false, got {d['homogenized']!r}")
-    return LtrModel(
-        P=[np.asarray(Pd, dtype=float) for Pd in d["P"]],
-        Q=np.asarray(d["Q"], dtype=float),
-        lam=np.asarray(d["lambda"], dtype=float),
-        homogenized=d["homogenized"],
-        link=d.get("link", "identity"),
-    )
+    try:  # LtrModel converts P, Q and lambda; a number or an object there is a TypeError
+        model = LtrModel(P=d["P"], Q=d["Q"], lam=d["lambda"], homogenized=d["homogenized"],
+                         link=d.get("link", "identity"))
+    except TypeError as exc:
+        raise ValueError(f"model file P, Q and lambda must be arrays of numbers: {exc}") from None
+    for key, value in _shape_keys(model).items():
+        if key in d and d[key] != value:
+            raise ValueError(f"model file says {key}={d[key]!r}, its factors give {value!r}")
+    return model
 
 
 def check_config(cfg, schema, where="config"):

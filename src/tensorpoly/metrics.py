@@ -126,9 +126,7 @@ class CvResult:
     fold_pearson: list
     fold_rmse: list
     mean_pearson: float
-    stderr_pearson: float
     mean_rmse: float
-    stderr_rmse: float
     fit_seconds: list
 
 
@@ -136,13 +134,6 @@ def column_scores(Y, Yhat):
     """``(pearson, rmse)`` of (m, n_y) predictions, each averaged over the output columns."""
     cols = [(pearson(Y[:, j], Yhat[:, j]), rmse(Y[:, j], Yhat[:, j])) for j in range(Y.shape[1])]
     return tuple(float(np.mean(c)) for c in zip(*cols))
-
-
-def _stderr(values):
-    values = np.asarray(values, dtype=float)
-    if values.size < 2:
-        return 0.0
-    return float(np.std(values, ddof=1) / np.sqrt(values.size))
 
 
 def cross_validate(dataset, learner, folds, seed=0):
@@ -175,8 +166,6 @@ def cross_validate(dataset, learner, folds, seed=0):
         fold_pearson=fold_p,
         fold_rmse=fold_r,
         mean_pearson=float(np.mean(fold_p)),
-        stderr_pearson=_stderr(fold_p),
         mean_rmse=float(np.mean(fold_r)),
-        stderr_rmse=_stderr(fold_r),
         fit_seconds=fit_seconds,
     )

@@ -444,6 +444,16 @@ class TestBenchmark:
             benchmark.run_benchmark(cfg)
         assert calls == []
 
+    @pytest.mark.parametrize("threads", ["0", "-3", "abc"])
+    def test_bad_thread_count_exits_2_naming_the_variable(self, tmp_path, capsys, monkeypatch,
+                                                          threads):
+        monkeypatch.setenv("TENSORPOLY_THREADS", threads)
+        cfg = write_config(tmp_path / "cfg.json", self.bench_config())
+        assert main(["benchmark", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: TENSORPOLY_THREADS must be an integer >= 1, got {threads!r}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_failed_point_recorded_in_row(self, tmp_path):
         cfg_dict = self.bench_config()
         cfg_dict["learners"] = ["krr"]
@@ -536,6 +546,7 @@ TOP_LEVEL_KEYS = ("generator, train, base, sweep, fm, learners, folds, schema_ve
                   "true_model")
 TRAIN_KEYS = ("n_d, n_t, C_p, C_q, learning_rate, epochs, batch_size, mode, rank_blocks, link, "
               "seed, homogenize")
+NOT_ARRAYS = "model file P, Q and lambda must be arrays of numbers: "
 # x1 * x2 on inputs that get a trailing 1 column: its factors are 3 wide, its input 2
 HOMOGENIZED_XY_MODEL = json.dumps(model_to_dict(LtrModel(
     P=[np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 1.0, 0.0]])], Q=np.ones((1, 1)), lam=[1.0],
@@ -598,7 +609,8 @@ REJECTED = [
     *[(f"benchmark-{variable}-fraction",
        {"cfg.json": json.dumps({"sweep": {"variable": variable, "values": [3, 2.5]},
                                 "base": {"n": 3, "degree": 2, "rank": 2, "m": 50}})},
-       BENCH_ARGS, rf"benchmark {key} at {variable}=2\.5 must be an integer >= 1, got 2\.5")
+       BENCH_ARGS,
+       rf"^error: benchmark config at {variable}=2\.5: {key} must be an integer >= 1, got 2\.5$")
       for variable, key in (("degree", "degree"), ("rank", "rank"), ("variables", "n"),
                             ("sample-size", "m"))],
     *[(f"benchmark-{name}-fraction", {"cfg.json": one_point_sweep(name, value)}, BENCH_ARGS,
@@ -628,7 +640,9 @@ REJECTED = [
        EVALUATE_ARGS + ["--task", "multilabel", "--topk", k],
        rf"^error: --topk must be an integer >= 1, got {k}$") for k in ("0", "-1")],
     ("benchmark-noise-list", {"cfg.json": one_point_sweep("base.noise", [1], ["lr"])}, BENCH_ARGS,
-     r"^error: benchmark config at degree=1: noise_level must be a finite number, got \[1\]$"),
+     r"^error: benchmark config at degree=1: noise must be a finite number, got \[1\]$"),
+    ("benchmark-noise-negative", {"cfg.json": one_point_sweep("base.noise", -1, ["lr"])},
+     BENCH_ARGS, r"^error: benchmark config at degree=1: noise must be nonnegative, got -1$"),
     ("benchmark-train-unknown-key", {"cfg.json": one_point_sweep("train.epoch", 3, ["ltr"])},
      BENCH_ARGS, rf"^error: unknown train section key 'epoch'; known keys: {TRAIN_KEYS}$"),
     # ADAM's decays and epsilon are constants, not settings
@@ -642,7 +656,9 @@ REJECTED = [
      {"model.json": HOMOGENIZED_XY_MODEL, "in.csv": "x1,x2,x3\n2,3,1\n"}, PREDICT_ARGS,
      r"^error: prediction input mismatch: view 0 has 3 columns, factor expects 2$"),
     ("generate-noise-list", {"cfg.json": '{"generator": {"noise": [1]}}'}, GENERATE_ARGS,
-     r"^error: noise_level must be a finite number, got \[1\]$"),
+     r"^error: noise must be a finite number, got \[1\]$"),
+    ("generate-noise-negative", {"cfg.json": '{"generator": {"noise": -1}}'}, GENERATE_ARGS,
+     r"^error: noise must be nonnegative, got -1$"),
     ("generate-quadratics-function-list",
      {"cfg.json": '{"generator": {"type": "quadratics", "function": ["xy"]}}'}, GENERATE_ARGS,
      r"^error: unknown function \['xy'\], pick from \['diff_sq', 'sq_diff', 'xy'\]$"),
@@ -691,6 +707,24 @@ REJECTED = [
      TRAIN_ARGS, r"^error: unknown link \['logistic'\]$"),
     ("model-link-list", {"model.json": json.dumps(json.loads(xy_model_json()) | {"link": ["x"]}),
                          "in.csv": "x1,x2\n1,2\n"}, PREDICT_ARGS, r"unknown link \['x'\]$"),
+    # a model file holds the keys `model_to_dict` writes, and its shape keys match its factors
+    *[(f"model-{key}-mismatch",
+       {"model.json": json.dumps(json.loads(xy_model_json()) | {key: value}),
+        "in.csv": "x1,x2\n2,3\n"}, PREDICT_ARGS,
+       rf"^error: model file says {key}={value}, its factors give {true}$")
+      for key, value, true in (("n_d", 7, 2), ("n_t", 9, 1), ("n", 3, 2), ("n_y", 4, 1))],
+    ("model-misspelt-link",
+     {"model.json": json.dumps(json.loads(xy_model_json(drop="link")) | {"lnk": "logistic"}),
+      "in.csv": "x1,x2\n2,3\n"}, PREDICT_ARGS,
+     r"^error: unknown model file key 'lnk'; known keys: schema_version, n_d, n_t, n, n_y, "
+     r"homogenized, lambda, P, Q, link$"),
+    *[(f"model-{key}-{case}",
+       {"model.json": json.dumps(json.loads(xy_model_json()) | {key: value}),
+        "in.csv": "x1,x2\n2,3\n"}, PREDICT_ARGS, rf"^error: {message}$")
+      for key, case, value, message in (
+          ("P", "number", 5, f"{NOT_ARRAYS}'int' object is not iterable"),
+          ("P", "null", None, "model needs at least one factor matrix"),
+          ("lambda", "object", {}, f"{NOT_ARRAYS}.*'dict'"))],
     *[(f"benchmark-{section}-misspelt-key", {"cfg.json": one_point_sweep(name, value, [section])},
        BENCH_ARGS, rf"^error: unknown {section} section key {key!r}; known keys: {known}$")
       for section, name, value, key, known in (
@@ -728,7 +762,7 @@ REJECTED = [
     ("benchmark-base-fraction",
      {"cfg.json": json.dumps({"sweep": {"variable": "noise", "values": [0.0]},
                               "base": {"n": 3.5, "degree": 2, "rank": 2, "m": 50}})},
-     BENCH_ARGS, r"benchmark n at noise=0\.0 must be an integer >= 1, got 3\.5"),
+     BENCH_ARGS, r"^error: benchmark config at noise=0\.0: n must be an integer >= 1, got 3\.5$"),
     # every command rejects nan/inf in the columns it reads
     ("predict-nan-input", {"model.json": xy_model_json(), "in.csv": "x1,x2\n1,2\nnan,3\n"},
      PREDICT_ARGS, r"^error: \S*in\.csv: X contains non-finite values$"),
