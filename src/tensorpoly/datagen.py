@@ -44,9 +44,8 @@ def sample_dataset(model, m, noise_level=0.0, seed=0):
     empirical std of the noiseless values on this sample, times
     ``noise_level``.
     """
-    if m < 1:
-        raise ValueError("m must be positive")
-    if noise_level < 0:
+    m = integral("m", m)
+    if real("noise_level", noise_level) < 0:
         raise ValueError("noise_level must be nonnegative")
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((m, model.n))
@@ -72,6 +71,7 @@ def quadratics_dataset(which, m, seed=0):
     """
     if not isinstance(which, str) or which not in QUADRATIC_FUNCTIONS:
         raise ValueError(f"unknown function {which!r}, pick from {sorted(QUADRATIC_FUNCTIONS)}")
+    m = integral("m", m)
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((m, 2))
     y = QUADRATIC_FUNCTIONS[which](X)

@@ -166,13 +166,8 @@ def model_from_dict(d):
     for key in ("P", "Q", "lambda", "homogenized"):
         if key not in d:
             raise ValueError(f"model file is missing key {key!r}")
-    if not isinstance(d["homogenized"], bool):
-        raise ValueError(f"homogenized must be true or false, got {d['homogenized']!r}")
-    try:  # LtrModel converts P, Q and lambda; a number or an object there is a TypeError
-        model = LtrModel(P=d["P"], Q=d["Q"], lam=d["lambda"], homogenized=d["homogenized"],
-                         link=d.get("link", "identity"))
-    except TypeError as exc:
-        raise ValueError(f"model file P, Q and lambda must be arrays of numbers: {exc}") from None
+    model = LtrModel(P=d["P"], Q=d["Q"], lam=d["lambda"], homogenized=d["homogenized"],
+                     link=d.get("link", "identity"))
     for key, value in _shape_keys(model).items():
         if key in d and d[key] != value:
             raise ValueError(f"model file says {key}={d[key]!r}, its factors give {value!r}")

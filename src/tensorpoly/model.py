@@ -23,10 +23,23 @@ import numpy as np
 ORACLE_SIZE_CAP = 10_000_000
 
 
-def _as_float_matrix(X, name="X"):
-    A = np.asarray(X, dtype=float, order="C")  # C-order float input is returned as is
-    if A.ndim != 2:
-        raise ValueError(f"{name} must be a 2-d array, got shape {A.shape}")
+def _as_float_matrix(X, name, ndim=2):
+    """``X`` as a C-order float array; a ValueError naming ``name`` unless it holds numbers
+    in ``ndim`` dimensions (any number for None). C-order float input is returned as is."""
+    try:
+        A = np.asarray(X, dtype=float, order="C")
+    except (TypeError, ValueError) as exc:  # an object, a string or a ragged list
+        raise ValueError(f"{name} must be an array of numbers: {exc}") from None
+    if ndim is not None and A.ndim != ndim:
+        raise ValueError(f"{name} must be a {ndim}-d array, got shape {A.shape}")
+    return A
+
+
+def _finite_matrix(X, name, ndim=2):
+    """`_as_float_matrix`, refusing non-finite values too."""
+    A = _as_float_matrix(X, name, ndim)
+    if not np.all(np.isfinite(A)):
+        raise ValueError(f"{name} contains non-finite values")
     return A
 
 
@@ -50,9 +63,7 @@ def homogenize(X):
     Lets a model of degree ``n_d`` represent inhomogeneous polynomials up
     to that degree while staying homogeneous in the augmented input.
     """
-    A = _as_float_matrix(X)
-    if not np.all(np.isfinite(A)):
-        raise ValueError("homogenize requires finite input")
+    A = _finite_matrix(X, "X")
     return np.hstack([A, np.ones((A.shape[0], 1))])
 
 
@@ -82,11 +93,11 @@ class LtrModel:
     link: str = "identity"
 
     def __post_init__(self):
-        if not self.P:
-            raise ValueError("model needs at least one factor matrix")
-        self.P = [_as_float_matrix(Pd, f"P[{d}]") for d, Pd in enumerate(self.P)]
-        self.Q = _as_float_matrix(self.Q, "Q")
-        self.lam = np.asarray(self.lam, dtype=float).reshape(-1)
+        if not isinstance(self.P, (list, tuple)) or not self.P:
+            raise ValueError("P must be a non-empty list of factor matrices")
+        self.P = [_finite_matrix(Pd, f"P[{d}]") for d, Pd in enumerate(self.P)]
+        self.Q = _finite_matrix(self.Q, "Q")
+        self.lam = _finite_matrix(self.lam, "lambda", ndim=1)
         n_t = self.lam.shape[0]
         for d, Pd in enumerate(self.P):
             if Pd.shape[0] != n_t:
@@ -95,9 +106,8 @@ class LtrModel:
             raise ValueError(f"Q has {self.Q.shape[0]} rows, expected n_t={n_t}")
         if not isinstance(self.link, str) or self.link not in LINKS:
             raise ValueError(f"unknown link {self.link!r}")
-        for arr in (*self.P, self.Q, self.lam):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("model parameters must be finite")
+        if not isinstance(self.homogenized, (bool, np.bool_)):
+            raise ValueError(f"homogenized must be true or false, got {self.homogenized!r}")
 
     @property
     def n_d(self):
@@ -140,21 +150,12 @@ class Dataset:
     def __post_init__(self):
         if not isinstance(self.views, (list, tuple)) or len(self.views) == 0:
             raise ValueError("views must be a non-empty list of matrices")
-        self.views = _each_distinct(self.views, _finite_matrix)
-        Y = np.asarray(self.Y, dtype=float, order="C")
-        if Y.ndim == 1:
-            Y = Y.reshape(-1, 1)
-        if Y.ndim != 2:
-            raise ValueError(f"Y must be 1-d or 2-d, got shape {Y.shape}")
-        self.Y = Y
-        m = self.views[0].shape[0]
-        for i, V in enumerate(self.views):
-            if V.shape[0] != m:
-                raise ValueError(f"views[{i}] has {V.shape[0]} rows, expected {m}")
-        if Y.shape[0] != m:
-            raise ValueError(f"Y has {Y.shape[0]} rows, expected {m}")
-        if not np.all(np.isfinite(Y)):
-            raise ValueError("Y contains non-finite values")
+        views = resolve_views(self.views, len(self.views))
+        self.views = _each_distinct(views, lambda d, V: _finite_matrix(V, f"views[{d}]"))
+        Y = _as_float_matrix(self.Y, "Y", ndim=None)
+        self.Y = _finite_matrix(Y.reshape(-1, 1) if Y.ndim == 1 else Y, "Y")
+        if self.m != self.views[0].shape[0]:
+            raise ValueError(f"Y has {self.m} rows, expected {self.views[0].shape[0]}")
 
     @property
     def m(self):
@@ -174,13 +175,6 @@ class Dataset:
     def take(self, idx):
         """Row-subset dataset; serves the cross-validation folds."""
         return Dataset(views=take_rows(self.views, idx), Y=np.take(self.Y, idx, axis=0))
-
-
-def _finite_matrix(d, V):
-    A = _as_float_matrix(V, f"views[{d}]")
-    if not np.all(np.isfinite(A)):
-        raise ValueError(f"views[{d}] contains non-finite values")
-    return A
 
 
 def _each_distinct(views, fn):
@@ -206,9 +200,9 @@ def resolve_views(views, n_d, dims=None, homogenized=False):
     list of exactly ``n_d`` matrices. Each distinct view object is
     converted once and, with ``homogenized``, gets its trailing 1 column
     once, so factors that share a view keep sharing it and `z_factors`
-    projects it in one product. With ``dims`` (the factor widths), each
-    view must have exactly its factor's raw width: one column fewer on a
-    homogenized model.
+    projects it in one product. All views must have one row count. With
+    ``dims`` (the factor widths), each view must have exactly its
+    factor's raw width: one column fewer on a homogenized model.
     """
     if isinstance(views, np.ndarray):
         views = [views]
@@ -217,11 +211,12 @@ def resolve_views(views, n_d, dims=None, homogenized=False):
     if len(views) == 1:
         views = list(views) * n_d
     views = _each_distinct(views, lambda d, V: _as_float_matrix(V, f"views[{d}]"))
-    if dims is not None:
-        raw = [width - 1 for width in dims] if homogenized else dims
-        for d, V in enumerate(views):
-            if V.shape[1] != raw[d]:
-                raise ValueError(f"view {d} has {V.shape[1]} columns, factor expects {raw[d]}")
+    raw = [width - 1 for width in dims] if dims is not None and homogenized else dims
+    for d, V in enumerate(views):
+        if V.shape[0] != views[0].shape[0]:
+            raise ValueError(f"views[{d}] has {V.shape[0]} rows, expected {views[0].shape[0]}")
+        if raw is not None and V.shape[1] != raw[d]:
+            raise ValueError(f"view {d} has {V.shape[1]} columns, factor expects {raw[d]}")
     if homogenized:
         views = _each_distinct(views, lambda d, V: homogenize(V))
     return views

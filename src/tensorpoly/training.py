@@ -177,15 +177,16 @@ def _raw_gradients(P, lam, Q, views, Y, offset, C_p, C_q, link, train_q=True):
 def loss(model, dataset, config):
     """Regularized objective of ``model`` on ``dataset``.
 
-    The link's data loss (`model.LINKS`) over the m n_y entries plus
-    Tikhonov penalties on the factor matrices and output components.
+    The model's link's data loss (`model.LINKS`) over the m n_y entries
+    plus Tikhonov penalties on the factor matrices and output
+    components, weighted by ``config.C_p`` and ``config.C_q``.
     """
-    return _raw_loss(*_model_inputs(model, dataset), 0.0, config.C_p, config.C_q, config.link)[0]
+    return _raw_loss(*_model_inputs(model, dataset), 0.0, config.C_p, config.C_q, model.link)[0]
 
 
 def gradients(model, batch, config):
     """Analytic gradients of `loss` on a batch: ``(g_lam, g_P, g_Q)``."""
-    return _raw_gradients(*_model_inputs(model, batch), 0.0, config.C_p, config.C_q, config.link)
+    return _raw_gradients(*_model_inputs(model, batch), 0.0, config.C_p, config.C_q, model.link)
 
 
 def _model_inputs(model, data):

@@ -114,7 +114,7 @@ class TestTrain:
         b = predict(loaded, X)
         denom = max(1.0, float(np.max(np.abs(a))))
         assert np.max(np.abs(a - b)) <= 1e-12 * denom
-        report = json.load(open(tmp_path / "report.json"))
+        report = json.loads((tmp_path / "report.json").read_text())
         assert report["mode"] == "rank_wise"
         assert len(report["residual_norms"]) == 3
 
@@ -127,8 +127,8 @@ class TestTrain:
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert main(["train", "--config", cfg1, "--data", str(data), "--out", str(out1)]) == 0
         assert main(["train", "--config", cfg2, "--data", str(data), "--out", str(out2)]) == 0
-        r1 = json.load(open(out1 / "report.json"))
-        r2 = json.load(open(out2 / "report.json"))
+        r1 = json.loads((out1 / "report.json").read_text())
+        r2 = json.loads((out2 / "report.json").read_text())
         assert len(r1["residual_norms"]) == len(r2["residual_norms"])
 
     def test_divergence_exits_1_with_one_stderr_line(self, tmp_path):
@@ -290,7 +290,7 @@ class TestEvaluate:
         assert main(["evaluate", "--predictions", str(tmp_path / "a.csv"),
                      "--truth", str(tmp_path / "b.csv"),
                      "--task", "regression", "--out", str(tmp_path)]) == 0
-        metrics = json.load(open(tmp_path / "metrics.json"))
+        metrics = json.loads((tmp_path / "metrics.json").read_text())
         assert metrics["pearson"] == pytest.approx(1.0)
         assert metrics["rmse"] == 0.0
 
@@ -301,7 +301,7 @@ class TestEvaluate:
         assert main(["evaluate", "--predictions", str(tmp_path / "pred.csv"),
                      "--truth", str(tmp_path / "truth.csv"),
                      "--task", "regression", "--out", str(tmp_path)]) == 0
-        metrics = json.load(open(tmp_path / "metrics.json"))
+        metrics = json.loads((tmp_path / "metrics.json").read_text())
         assert metrics["pearson"] is None
         assert np.isfinite(metrics["rmse"])
 
@@ -315,7 +315,7 @@ class TestEvaluate:
         assert main(["evaluate", "--predictions", str(tmp_path / "pred.csv"),
                      "--truth", str(tmp_path / "truth.csv"),
                      "--task", "regression", "--out", str(tmp_path)]) == 0
-        metrics = json.load(open(tmp_path / "metrics.json"))
+        metrics = json.loads((tmp_path / "metrics.json").read_text())
         assert metrics["pearson"] == pytest.approx(pearson(y, z), rel=1e-12)
         assert metrics["rmse"] == pytest.approx(rmse(y, z), rel=1e-12)
 
@@ -337,7 +337,7 @@ class TestEvaluate:
                      "--truth", str(tmp_path / "truth.csv"),
                      "--task", "multilabel", "--topk", "1",
                      "--out", str(tmp_path)]) == 0
-        metrics = json.load(open(tmp_path / "metrics.json"))
+        metrics = json.loads((tmp_path / "metrics.json").read_text())
         assert metrics["micro_f1"] == pytest.approx(1.0)
 
 
@@ -546,7 +546,6 @@ TOP_LEVEL_KEYS = ("generator, train, base, sweep, fm, learners, folds, schema_ve
                   "true_model")
 TRAIN_KEYS = ("n_d, n_t, C_p, C_q, learning_rate, epochs, batch_size, mode, rank_blocks, link, "
               "seed, homogenize")
-NOT_ARRAYS = "model file P, Q and lambda must be arrays of numbers: "
 # x1 * x2 on inputs that get a trailing 1 column: its factors are 3 wide, its input 2
 HOMOGENIZED_XY_MODEL = json.dumps(model_to_dict(LtrModel(
     P=[np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 1.0, 0.0]])], Q=np.ones((1, 1)), lam=[1.0],
@@ -628,6 +627,14 @@ REJECTED = [
        BENCH_ARGS,
        rf"^error: benchmark sweep\.values must be a non-empty list, got {re.escape(repr(values))}$")
       for case, values in (("number", 5), ("empty", []))],
+    # the views of one prediction share one row count: a 1-row view is not broadcast
+    *[(f"predict-views-4-and-{rows}-rows",
+       {"model.json": xy_model_json(), "a.csv": "x1,x2\n" + "1,2\n" * 4,
+        "c.csv": "x1,x2\n" + "3,4\n" * rows},
+       ["predict", "--model", "{dir}/model.json", "--views", "{dir}/a.csv", "{dir}/c.csv",
+        "--out", "{dir}/out"],
+       rf"^error: prediction input mismatch: views\[1\] has {rows} rows, expected 4$")
+      for rows in (1, 2)],
     ("predict-view-without-x", {"model.json": xy_model_json(), "v.csv": "y\n1\n"},
      ["predict", "--model", "{dir}/model.json", "--views", "{dir}/v.csv", "--out", "{dir}/out"],
      r"^error: \S*v\.csv: no x\* columns$"),
@@ -722,9 +729,12 @@ REJECTED = [
        {"model.json": json.dumps(json.loads(xy_model_json()) | {key: value}),
         "in.csv": "x1,x2\n2,3\n"}, PREDICT_ARGS, rf"^error: {message}$")
       for key, case, value, message in (
-          ("P", "number", 5, f"{NOT_ARRAYS}'int' object is not iterable"),
-          ("P", "null", None, "model needs at least one factor matrix"),
-          ("lambda", "object", {}, f"{NOT_ARRAYS}.*'dict'"))],
+          ("P", "number", 5, "P must be a non-empty list of factor matrices"),
+          ("P", "null", None, "P must be a non-empty list of factor matrices"),
+          ("lambda", "object", {}, "lambda must be an array of numbers: .*'dict'"),
+          # one scale factor per term: a number or a nested list is not read as a list
+          ("lambda", "number", 2.0, r"lambda must be a 1-d array, got shape \(\)"),
+          ("lambda", "nested", [[1.0]], r"lambda must be a 1-d array, got shape \(1, 1\)"))],
     *[(f"benchmark-{section}-misspelt-key", {"cfg.json": one_point_sweep(name, value, [section])},
        BENCH_ARGS, rf"^error: unknown {section} section key {key!r}; known keys: {known}$")
       for section, name, value, key, known in (

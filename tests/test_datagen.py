@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,16 @@ class TestSampleDataset:
         assert np.array_equal(a.X, b.X)
         assert np.array_equal(a.Y, b.Y)
 
+    @pytest.mark.parametrize("m,noise_level,message", [
+        (10, float("nan"), "noise_level must be a finite number, got nan"),
+        (2.5, 0.0, "m must be an integer >= 1, got 2.5"),
+        (0, 0.0, "m must be an integer >= 1, got 0"),
+    ])
+    def test_bad_arguments_rejected(self, m, noise_level, message):
+        model = generate_model(GeneratorSpec(n=3, n_d=2, n_t=2, m=10, seed=1))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sample_dataset(model, m, noise_level)
+
     def test_homogeneous_scaling(self):
         spec = GeneratorSpec(n=3, n_d=3, n_t=2, m=5, seed=13)
         model = generate_model(spec)
@@ -90,3 +102,8 @@ class TestQuadratics:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             quadratics_dataset("cubic", 10, seed=0)
+
+    @pytest.mark.parametrize("m", [2.5, 0])
+    def test_m_must_be_a_positive_integer(self, m):
+        with pytest.raises(ValueError, match=rf"^m must be an integer >= 1, got {m}$"):
+            quadratics_dataset("xy", m)

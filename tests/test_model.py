@@ -421,6 +421,29 @@ class TestValidation:
         with pytest.raises(ValueError, match=rf"^{re.escape(where)} contains non-finite"):
             Dataset(views=views, Y=Y)
 
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_predict_refuses_views_of_different_row_counts(self, rows):
+        # a 1-row view would broadcast against every row of the other
+        with pytest.raises(ValueError, match=rf"^views\[1\] has {rows} rows, expected 4$"):
+            predict(unit_xy_model(), [np.ones((4, 2)), np.ones((rows, 2))])
+
+    def test_homogenized_must_be_a_boolean(self):
+        # a truthy "false" would append the ones column on every prediction
+        with pytest.raises(ValueError, match="^homogenized must be true or false, got 'false'$"):
+            LtrModel(P=[np.ones((1, 3))] * 2, Q=np.ones((1, 1)), lam=[1.0], homogenized="false")
+
+    @pytest.mark.parametrize("field,build", [
+        ("views[1]", lambda: Dataset(views=[np.zeros((2, 2)), {}], Y=np.zeros(2))),
+        ("Y", lambda: Dataset(views=[np.zeros((2, 2))], Y={})),
+        ("views[0]", lambda: predict(unit_xy_model(), [{}])),
+        ("P[1]", lambda: LtrModel(P=[np.ones((1, 2)), {}], Q=np.ones((1, 1)), lam=[1.0])),
+        ("Q", lambda: LtrModel(P=[np.ones((1, 2))], Q={}, lam=[1.0])),
+        ("lambda", lambda: LtrModel(P=[np.ones((1, 2))], Q=np.ones((1, 1)), lam={})),
+    ], ids=["dataset-view", "dataset-Y", "predict-view", "model-P", "model-Q", "model-lambda"])
+    def test_object_where_numbers_go_names_the_field(self, field, build):
+        with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be an array of numbers"):
+            build()
+
     def test_mixed_width_model_has_dims_but_no_n(self):
         model = LtrModel(P=[np.ones((1, 2)), np.ones((1, 3))],
                          Q=np.ones((1, 1)), lam=[1.0])

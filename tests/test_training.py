@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from tensorpoly.gradcheck import TOLERANCE, max_relative_error, numeric_gradient
 from tensorpoly.metrics import accuracy
 from tensorpoly.model import homogenize
 
-from helpers import random_model
+from helpers import loop_forward, random_model
 
 
 def make_instance(seed, m, n, n_d, n_t, n_y=1):
@@ -74,6 +76,18 @@ class TestLoss:
         expected += cfg.C_p / (2 * 2 * 2 * 3) * sum(float(np.sum(Pd**2)) for Pd in model.P)
         expected += cfg.C_q / (2 * 2 * 1) * float(np.sum(model.Q**2))
         assert loss(model, ds, cfg) == pytest.approx(expected, rel=1e-12)
+
+    def test_logistic_model_is_scored_with_its_own_link(self):
+        rng = np.random.default_rng(15)
+        model = replace(random_model(rng, n=3, n_d=2, n_t=2), link="logistic")
+        X = rng.standard_normal((20, 3))
+        Y = (rng.random((20, 1)) < 0.5).astype(float)
+        cfg = TrainConfig(n_d=2, n_t=2, C_p=0.7, C_q=0.3)  # link="identity"
+        U = loop_forward(model, X)  # pre-link outputs
+        expected = float(np.sum(np.log1p(np.exp(U)) - Y * U)) / 20
+        expected += cfg.C_p / (2 * 2 * 2 * 3) * sum(float(np.sum(Pd**2)) for Pd in model.P)
+        expected += cfg.C_q / (2 * 2 * 1) * float(np.sum(model.Q**2))
+        assert loss(model, Dataset(views=[X], Y=Y), cfg) == pytest.approx(expected, rel=1e-12)
 
     def test_empty_dataset_rejected(self):
         rng = np.random.default_rng(4)
@@ -139,11 +153,11 @@ class TestGradients:
 
     def test_logistic_link_finite_difference(self):
         rng = np.random.default_rng(8)
-        model = random_model(rng, n=3, n_d=2, n_t=2)
+        model = replace(random_model(rng, n=3, n_d=2, n_t=2), link="logistic")
         X = rng.standard_normal((14, 3))
         Y = (rng.random((14, 1)) < 0.5).astype(float)
         ds = Dataset(views=[X], Y=Y)
-        cfg = TrainConfig(n_d=2, n_t=2, C_p=0.2, C_q=0.1, link="logistic")
+        cfg = TrainConfig(n_d=2, n_t=2, C_p=0.2, C_q=0.1)  # the model's link is the one used
         a_lam, a_P, a_Q = gradients(model, ds, cfg)
         f_lam, f_P, f_Q = numeric_gradients(model, ds, cfg)
         assert max_relative_error(a_lam, f_lam) <= 1e-5
