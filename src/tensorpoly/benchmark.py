@@ -17,7 +17,7 @@ from . import baselines
 from .datagen import generate_model, sample_dataset
 from .io import RUN_CONFIG, check_config, generator_spec
 from .metrics import cross_validate
-from .model import integral, predict
+from .model import integral, one_of, predict
 from .training import TrainConfig, fit
 
 # sweep variable -> the base key it sets
@@ -114,9 +114,7 @@ def run_benchmark(cfg):
     sweep = cfg.get("sweep")
     if not sweep or "variable" not in sweep or "values" not in sweep:
         raise ValueError("benchmark config needs sweep.variable and sweep.values")
-    variable = sweep["variable"]
-    if not isinstance(variable, str) or variable not in SWEEP_KEYS:
-        raise ValueError(f"sweep variable must be one of {tuple(SWEEP_KEYS)}")
+    variable = one_of("sweep variable", sweep["variable"], SWEEP_KEYS)
     if not isinstance(cfg.get("base"), dict):
         raise ValueError("benchmark config needs a base section")
     missing = {"n", "degree", "rank", "m"} - set(_point_params(cfg["base"], variable, None))

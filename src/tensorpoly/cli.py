@@ -13,19 +13,13 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import gradcheck as gradcheck_mod
 from . import io as tio
 from .benchmark import run_benchmark
 from .datagen import generate_model, sample_dataset, quadratics_dataset
 from .metrics import accuracy, column_scores, f1_multilabel, top_k_binarize
-from .model import Dataset, integral, predict
+from .model import Dataset, _finite_matrix, integral, one_of, predict
 from .training import TrainConfig, TrainingDivergedError, fit
-
-
-class CliError(Exception):
-    """A usage or input error: `main` prints its one-line message and returns 2."""
 
 
 def _load_config(path):
@@ -35,7 +29,7 @@ def _load_config(path):
     try:
         cfg = tio.read_json(path)
     except json.JSONDecodeError as exc:
-        raise CliError(f"config file {path} is not valid JSON: {exc}")
+        raise ValueError(f"config file {path} is not valid JSON: {exc}") from None
     tio.check_config(cfg, tio.RUN_CONFIG)
     return cfg
 
@@ -46,9 +40,7 @@ def _out_path(args, name):
 
 def cmd_generate(args):
     gen = _load_config(args.config).get("generator", {})
-    gtype = gen.get("type", "random")
-    if not isinstance(gtype, str) or gtype not in tio.GENERATOR_KEYS:
-        raise CliError(f"unknown generator type {gtype!r}")
+    gtype = one_of("generator type", gen.get("type", "random"), tio.GENERATOR_KEYS)
     tio.check_config(gen, dict.fromkeys(tio.GENERATOR_KEYS[gtype]), f"{gtype} generator")
     m = integral("m", gen.get("m", 1000))
     test_m = integral("test_m", gen.get("test_m", m))
@@ -86,15 +78,15 @@ def cmd_generate(args):
 def _read_training_data(args):
     if args.data:
         if args.views or args.labels:
-            raise CliError("--data cannot be combined with --views/--labels")
+            raise ValueError("--data cannot be combined with --views/--labels")
         X, Y = _read_csv_checked(args.data, "xy")
         return Dataset(views=[X], Y=Y)
     if args.views:
         if not args.labels:
-            raise CliError("multi-view training needs --labels with the shared outputs")
+            raise ValueError("multi-view training needs --labels with the shared outputs")
         views = [_read_csv_checked(p, "x")[0] for p in args.views]
         return Dataset(views=views, Y=_read_csv_checked(args.labels, "y")[1])
-    raise CliError("no training data: pass --data or --views/--labels")
+    raise ValueError("no training data: pass --data or --views/--labels")
 
 
 def _read_csv_checked(path, need):
@@ -103,9 +95,9 @@ def _read_csv_checked(path, need):
     X, Y = tio.read_dataset_csv(path)
     for group, A in zip("xy", (X, Y)):
         if group in need and A is None:
-            raise CliError(f"{path}: no {group}* columns")
-        if group in need and not np.isfinite(A).all():
-            raise CliError(f"{path}: {group.upper()} contains non-finite values")
+            raise ValueError(f"{path}: no {group}* columns")
+        if group in need:
+            _finite_matrix(A, f"{path}: {group.upper()}")
     return X, Y
 
 
@@ -132,7 +124,7 @@ def cmd_predict(args):
     try:
         yhat = predict(model, views)
     except ValueError as exc:
-        raise CliError(f"prediction input mismatch: {exc}")
+        raise ValueError(f"prediction input mismatch: {exc}") from None
     out_file = _out_path(args, "predictions.csv")
     tio.write_predictions_csv(out_file, yhat)
     print(f"wrote {out_file} ({yhat.shape[0]} rows)")
@@ -141,11 +133,11 @@ def cmd_predict(args):
 
 def cmd_evaluate(args):
     if args.topk is not None and args.task != "multilabel":
-        raise CliError("--topk applies to --task multilabel only")
+        raise ValueError("--topk applies to --task multilabel only")
     yhat = _read_csv_checked(args.predictions, "y")[1]
     ytrue = _read_csv_checked(args.truth, "y")[1]
     if yhat.shape != ytrue.shape:
-        raise CliError(f"shape mismatch: predictions are {yhat.shape}, truth is {ytrue.shape}")
+        raise ValueError(f"shape mismatch: predictions are {yhat.shape}, truth is {ytrue.shape}")
     if args.task == "regression":
         metrics = dict(zip(("pearson", "rmse"), column_scores(ytrue, yhat)))
     elif args.task == "classification":
@@ -250,7 +242,7 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return COMMANDS[args.command](args)
-    except (CliError, OSError, ValueError) as exc:  # OSError: any file error names its path
+    except (OSError, ValueError) as exc:  # OSError: any file error names its path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, LtrModel, forward_terms, integral, real
+from .model import Dataset, LtrModel, forward_terms, integral, one_of, real
 
 
 @dataclass
@@ -25,8 +25,7 @@ class GeneratorSpec:
         for name in ("n", "n_d", "n_t", "m"):
             integral(name, getattr(self, name))
         integral("seed", self.seed, 0)
-        if real("noise_level", self.noise_level) < 0:
-            raise ValueError("noise_level must be nonnegative")
+        real("noise_level", self.noise_level, 0)
 
 
 def generate_model(spec):
@@ -45,8 +44,7 @@ def sample_dataset(model, m, noise_level=0.0, seed=0):
     ``noise_level``.
     """
     m = integral("m", m)
-    if real("noise_level", noise_level) < 0:
-        raise ValueError("noise_level must be nonnegative")
+    real("noise_level", noise_level, 0)
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((m, model.n))
     _, _, y = forward_terms(model.P, model.lam, model.Q, [X] * model.n_d)
@@ -69,8 +67,7 @@ def quadratics_dataset(which, m, seed=0):
     ``xy`` is x*y, ``sq_diff`` is (x-y)^2, ``diff_sq`` is x^2-y^2; the
     outputs are exact (no noise).
     """
-    if not isinstance(which, str) or which not in QUADRATIC_FUNCTIONS:
-        raise ValueError(f"unknown function {which!r}, pick from {sorted(QUADRATIC_FUNCTIONS)}")
+    one_of("function", which, QUADRATIC_FUNCTIONS)
     m = integral("m", m)
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((m, 2))

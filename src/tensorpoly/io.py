@@ -35,9 +35,7 @@ def generator_spec(section, seed):
     """The `GeneratorSpec` that a random generator section, or a sweep's base section at one
     grid point, sets with ``seed``; ``m`` must be set, and a ValueError names a bad key."""
     n, n_d, n_t = (integral(key, section.get(key, 2)) for key in ("n", "degree", "rank"))
-    noise = section.get("noise", 0.0)
-    if real("noise", noise) < 0:
-        raise ValueError(f"noise must be nonnegative, got {noise!r}")
+    noise = real("noise", section.get("noise", 0.0), 0)
     # GeneratorSpec checks m and seed under these same names
     return GeneratorSpec(n=n, n_d=n_d, n_t=n_t, m=section["m"], noise_level=noise, seed=seed)
 

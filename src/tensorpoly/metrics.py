@@ -8,18 +8,24 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _paired(y, yhat, least):
+    """``y`` and ``yhat`` as float vectors of one length, at least ``least``."""
+    y = np.asarray(y, dtype=float).reshape(-1)
+    yhat = np.asarray(yhat, dtype=float).reshape(-1)
+    if y.shape[0] != yhat.shape[0]:
+        raise ValueError("length mismatch")
+    if y.shape[0] < least:
+        raise ValueError(f"got {y.shape[0]} values, need at least {least}")
+    return y, yhat
+
+
 def pearson(y, yhat):
     """Sample Pearson correlation.
 
     Returns NaN when either argument has zero variance; callers must
     treat that as "undefined", never as zero correlation.
     """
-    y = np.asarray(y, dtype=float).reshape(-1)
-    yhat = np.asarray(yhat, dtype=float).reshape(-1)
-    if y.shape[0] != yhat.shape[0]:
-        raise ValueError("length mismatch")
-    if y.shape[0] < 2:
-        raise ValueError("pearson needs at least 2 points")
+    y, yhat = _paired(y, yhat, 2)
     dy = y - y.mean()
     dz = yhat - yhat.mean()
     denom = np.sqrt(np.sum(dy * dy) * np.sum(dz * dz))
@@ -30,24 +36,14 @@ def pearson(y, yhat):
 
 def rmse(y, yhat):
     """Root mean squared error."""
-    y = np.asarray(y, dtype=float).reshape(-1)
-    yhat = np.asarray(yhat, dtype=float).reshape(-1)
-    if y.shape[0] != yhat.shape[0]:
-        raise ValueError("length mismatch")
-    if y.shape[0] == 0:
-        raise ValueError("empty input")
+    y, yhat = _paired(y, yhat, 1)
     return float(np.sqrt(np.mean((y - yhat) ** 2)))
 
 
 def accuracy(y_true, y_prob):
     """Fraction of correct {0,1} decisions at threshold 0.5."""
-    y_true = np.asarray(y_true, dtype=float).reshape(-1)
-    pred = (np.asarray(y_prob, dtype=float).reshape(-1) >= 0.5).astype(float)
-    if y_true.shape[0] != pred.shape[0]:
-        raise ValueError("length mismatch")
-    if y_true.shape[0] == 0:
-        raise ValueError("empty input")
-    return float(np.mean(pred == y_true))
+    y_true, y_prob = _paired(y_true, y_prob, 1)
+    return float(np.mean((y_prob >= 0.5) == y_true))
 
 
 def _check_binary(A, name):

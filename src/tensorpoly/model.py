@@ -23,38 +23,44 @@ import numpy as np
 ORACLE_SIZE_CAP = 10_000_000
 
 
-def _as_float_matrix(X, name, ndim=2):
-    """``X`` as a C-order float array; a ValueError naming ``name`` unless it holds numbers
-    in ``ndim`` dimensions (any number for None). C-order float input is returned as is."""
+def _finite_matrix(X, name, ndim=2):
+    """``X`` as a C-order float array; a ValueError naming ``name`` unless it holds finite
+    numbers in ``ndim`` dimensions. C-order float input is returned as is."""
     try:
         A = np.asarray(X, dtype=float, order="C")
     except (TypeError, ValueError) as exc:  # an object, a string or a ragged list
         raise ValueError(f"{name} must be an array of numbers: {exc}") from None
-    if ndim is not None and A.ndim != ndim:
+    if A.ndim != ndim:
         raise ValueError(f"{name} must be a {ndim}-d array, got shape {A.shape}")
-    return A
-
-
-def _finite_matrix(X, name, ndim=2):
-    """`_as_float_matrix`, refusing non-finite values too."""
-    A = _as_float_matrix(X, name, ndim)
     if not np.all(np.isfinite(A)):
         raise ValueError(f"{name} contains non-finite values")
     return A
 
 
 def integral(name, value, low=1):
-    """``value`` as an int; a ValueError naming ``name`` unless it is an integer >= ``low``."""
-    if not isinstance(value, numbers.Integral) or value < low:
+    """``value`` as an int; a ValueError naming ``name`` unless it is an integer >= ``low``
+    (a boolean is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
 
 
-def real(name, value):
-    """``value`` as a float; a ValueError naming ``name`` unless it is a finite real number."""
-    if not isinstance(value, numbers.Real) or not math.isfinite(value):
+def real(name, value, low=-math.inf):
+    """``value`` as a float; a ValueError naming ``name`` unless it is a finite real number
+    (a boolean is not) >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
     return float(value)
+
+
+def one_of(name, value, table):
+    """``value``; a ValueError naming ``name`` unless it is a string or a boolean in
+    ``table`` (a sequence, or a dict's keys). Flags use the table ``(False, True)``."""
+    if not isinstance(value, (str, bool, np.bool_)) or value not in table:
+        raise ValueError(f"{name} must be one of {tuple(table)}, got {value!r}")
+    return value
 
 
 def homogenize(X):
@@ -104,10 +110,8 @@ class LtrModel:
                 raise ValueError(f"P[{d}] has {Pd.shape[0]} rows, expected n_t={n_t}")
         if self.Q.shape[0] != n_t:
             raise ValueError(f"Q has {self.Q.shape[0]} rows, expected n_t={n_t}")
-        if not isinstance(self.link, str) or self.link not in LINKS:
-            raise ValueError(f"unknown link {self.link!r}")
-        if not isinstance(self.homogenized, (bool, np.bool_)):
-            raise ValueError(f"homogenized must be true or false, got {self.homogenized!r}")
+        one_of("link", self.link, LINKS)
+        one_of("homogenized", self.homogenized, (False, True))
 
     @property
     def n_d(self):
@@ -150,10 +154,9 @@ class Dataset:
     def __post_init__(self):
         if not isinstance(self.views, (list, tuple)) or len(self.views) == 0:
             raise ValueError("views must be a non-empty list of matrices")
-        views = resolve_views(self.views, len(self.views))
-        self.views = _each_distinct(views, lambda d, V: _finite_matrix(V, f"views[{d}]"))
-        Y = _as_float_matrix(self.Y, "Y", ndim=None)
-        self.Y = _finite_matrix(Y.reshape(-1, 1) if Y.ndim == 1 else Y, "Y")
+        self.views = resolve_views(self.views, len(self.views))
+        self.Y = _finite_matrix(np.reshape(self.Y, (-1, 1)) if np.ndim(self.Y) == 1 else self.Y,
+                                "Y")
         if self.m != self.views[0].shape[0]:
             raise ValueError(f"Y has {self.m} rows, expected {self.views[0].shape[0]}")
 
@@ -198,9 +201,10 @@ def resolve_views(views, n_d, dims=None, homogenized=False):
 
     Accepts a bare matrix, a 1-element list (shared across factors), or a
     list of exactly ``n_d`` matrices. Each distinct view object is
-    converted once and, with ``homogenized``, gets its trailing 1 column
-    once, so factors that share a view keep sharing it and `z_factors`
-    projects it in one product. All views must have one row count. With
+    converted and checked to be finite once and, with ``homogenized``,
+    gets its trailing 1 column once, so factors that share a view keep
+    sharing it and `z_factors` projects it in one product. All views must
+    have one row count. With
     ``dims`` (the factor widths), each view must have exactly its
     factor's raw width: one column fewer on a homogenized model.
     """
@@ -210,7 +214,7 @@ def resolve_views(views, n_d, dims=None, homogenized=False):
         raise ValueError(f"expected 1 or {n_d} views, got {len(views)}")
     if len(views) == 1:
         views = list(views) * n_d
-    views = _each_distinct(views, lambda d, V: _as_float_matrix(V, f"views[{d}]"))
+    views = _each_distinct(views, lambda d, V: _finite_matrix(V, f"views[{d}]"))
     raw = [width - 1 for width in dims] if dims is not None and homogenized else dims
     for d, V in enumerate(views):
         if V.shape[0] != views[0].shape[0]:

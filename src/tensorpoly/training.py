@@ -17,20 +17,20 @@ outputs and multi-view inputs.
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
-from .metrics import correlation_ratio
+from .metrics import _check_binary, correlation_ratio
 from .model import (
     LINKS,
     LtrModel,
     forward_terms,
     hadamard_partials,
     integral,
+    one_of,
     real,
     resolve_views,
     take_rows,
@@ -78,27 +78,21 @@ class TrainConfig:
 
     def __post_init__(self):
         for name, low in (("n_d", 1), ("n_t", 1), ("epochs", 1), ("batch_size", 1), ("seed", 0)):
-            integral(name, getattr(self, name), low)
-        for name in ("C_p", "C_q", "learning_rate"):
-            real(name, getattr(self, name))
-        if not isinstance(self.homogenize, (bool, np.bool_)):
-            raise ValueError(f"homogenize must be true or false, got {self.homogenize!r}")
-        if self.C_p < 0 or self.C_q < 0:
-            raise ValueError("regularization constants must be nonnegative")
+            setattr(self, name, integral(name, getattr(self, name), low))
+        for name, low in (("C_p", 0), ("C_q", 0), ("learning_rate", -np.inf)):
+            setattr(self, name, real(name, getattr(self, name), low))
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not isinstance(self.link, str) or self.link not in LINKS:
-            raise ValueError(f"unknown link {self.link!r}")
+        one_of("mode", self.mode, MODES)
+        one_of("link", self.link, LINKS)
+        one_of("homogenize", self.homogenize, (False, True))
         if self.mode == "layered":
-            blocks = self.rank_blocks
-            if not isinstance(blocks, (list, tuple)) or not blocks or not all(
-                    isinstance(b, numbers.Integral) and b >= 1 for b in blocks):
+            if not isinstance(self.rank_blocks, (list, tuple)) or not self.rank_blocks:
                 raise ValueError("layered mode needs rank_blocks of integers >= 1")
-            if sum(blocks) != self.n_t:
+            self.rank_blocks = [integral(f"rank_blocks[{i}]", b)
+                                for i, b in enumerate(self.rank_blocks)]
+            if sum(self.rank_blocks) != self.n_t:
                 raise ValueError("rank_blocks must sum to n_t")
-            self.rank_blocks = [int(b) for b in blocks]
         elif self.rank_blocks is not None:
             raise ValueError(f"rank_blocks applies to layered mode only, not {self.mode!r}")
 
@@ -289,8 +283,8 @@ def fit(dataset, config):
     to block. Layered fits also record the correlation ratio of the
     per-layer predictions.
     """
-    if config.link == "logistic" and not np.all((dataset.Y == 0.0) | (dataset.Y == 1.0)):
-        raise ValueError("logistic fitting needs binary {0,1} labels")
+    if config.link == "logistic":
+        _check_binary(dataset.Y, "logistic fit labels Y")
     blocks = {"joint": [config.n_t], "layered": config.rank_blocks,
               "rank_wise": [1] * config.n_t}[config.mode]
     layered = config.mode == "layered"

@@ -599,6 +599,12 @@ REJECTED = [
      r"learning_rate must be a finite number, got nan"),
     ("train-n_d-fraction", {"cfg.json": '{"train": {"n_d": 2.5}}', "in.csv": XY_CSV},
      TRAIN_ARGS, r"n_d must be an integer >= 1, got 2\.5"),
+    # a JSON boolean is not a number: true would train one term, or add noise at level 1
+    ("train-n_t-true",
+     {"cfg.json": '{"train": {"n_t": true, "learning_rate": true}}', "in.csv": XY_CSV},
+     TRAIN_ARGS, r"^error: n_t must be an integer >= 1, got True$"),
+    ("generate-noise-true", {"cfg.json": '{"generator": {"n": 2, "noise": true}}'}, GENERATE_ARGS,
+     r"^error: noise must be a finite number, got True$"),
     *[(f"generate-{key}-fraction", {"cfg.json": json.dumps({"generator": {key: 2.5}})},
        GENERATE_ARGS, rf"^error: {key} must be an integer >= {low}, got 2\.5$")
       for key, low in (("n", 1), ("degree", 1), ("rank", 1), ("m", 1), ("test_m", 1), ("seed", 0))],
@@ -649,7 +655,7 @@ REJECTED = [
     ("benchmark-noise-list", {"cfg.json": one_point_sweep("base.noise", [1], ["lr"])}, BENCH_ARGS,
      r"^error: benchmark config at degree=1: noise must be a finite number, got \[1\]$"),
     ("benchmark-noise-negative", {"cfg.json": one_point_sweep("base.noise", -1, ["lr"])},
-     BENCH_ARGS, r"^error: benchmark config at degree=1: noise must be nonnegative, got -1$"),
+     BENCH_ARGS, r"^error: benchmark config at degree=1: noise must be >= 0, got -1$"),
     ("benchmark-train-unknown-key", {"cfg.json": one_point_sweep("train.epoch", 3, ["ltr"])},
      BENCH_ARGS, rf"^error: unknown train section key 'epoch'; known keys: {TRAIN_KEYS}$"),
     # ADAM's decays and epsilon are constants, not settings
@@ -657,7 +663,7 @@ REJECTED = [
      TRAIN_ARGS, rf"^error: unknown train section key 'adam_beta1'; known keys: {TRAIN_KEYS}$"),
     ("benchmark-sweep-sample_size", {"cfg.json": one_point_sweep("sweep.variable", "sample_size")},
      BENCH_ARGS, r"^error: sweep variable must be one of \('degree', 'rank', 'noise', "
-     r"'variables', 'sample-size'\)$"),
+     r"'variables', 'sample-size'\), got 'sample_size'$"),
     # a homogenized model takes its raw width only; it adds the ones column itself
     ("predict-homogenized-with-ones-column",
      {"model.json": HOMOGENIZED_XY_MODEL, "in.csv": "x1,x2,x3\n2,3,1\n"}, PREDICT_ARGS,
@@ -665,18 +671,18 @@ REJECTED = [
     ("generate-noise-list", {"cfg.json": '{"generator": {"noise": [1]}}'}, GENERATE_ARGS,
      r"^error: noise must be a finite number, got \[1\]$"),
     ("generate-noise-negative", {"cfg.json": '{"generator": {"noise": -1}}'}, GENERATE_ARGS,
-     r"^error: noise must be nonnegative, got -1$"),
+     r"^error: noise must be >= 0, got -1$"),
     ("generate-quadratics-function-list",
      {"cfg.json": '{"generator": {"type": "quadratics", "function": ["xy"]}}'}, GENERATE_ARGS,
-     r"^error: unknown function \['xy'\], pick from \['diff_sq', 'sq_diff', 'xy'\]$"),
+     r"^error: function must be one of \('xy', 'sq_diff', 'diff_sq'\), got \['xy'\]$"),
     ("train-homogenize-string",
      {"cfg.json": '{"train": {"homogenize": "false"}}', "in.csv": XY_CSV}, TRAIN_ARGS,
-     r"^error: homogenize must be true or false, got 'false'$"),
+     r"^error: homogenize must be one of \(False, True\), got 'false'$"),
     # a string "false" is truthy: read as a flag, it would make the model homogenized
     ("model-homogenized-string",
      {"model.json": json.dumps(json.loads(xy_model_json()) | {"homogenized": "false"}),
       "in.csv": "x1\n2\n"}, PREDICT_ARGS,
-     r"^error: homogenized must be true or false, got 'false'$"),
+     r"^error: homogenized must be one of \(False, True\), got 'false'$"),
     # rows are visited in a fresh seeded order every epoch; the baselines are fixed learners
     ("train-shuffle", {"cfg.json": '{"train": {"shuffle": false}}', "in.csv": XY_CSV}, TRAIN_ARGS,
      rf"^error: unknown train section key 'shuffle'; known keys: {TRAIN_KEYS}$"),
@@ -711,9 +717,10 @@ REJECTED = [
      BENCH_ARGS, r"^error: benchmark config at sample-size=3: folds=5 is more than the m=3 "
      r"examples$"),
     ("train-link-list", {"cfg.json": '{"train": {"link": ["logistic"]}}', "in.csv": XY_CSV},
-     TRAIN_ARGS, r"^error: unknown link \['logistic'\]$"),
+     TRAIN_ARGS, r"^error: link must be one of \('identity', 'logistic'\), got \['logistic'\]$"),
     ("model-link-list", {"model.json": json.dumps(json.loads(xy_model_json()) | {"link": ["x"]}),
-                         "in.csv": "x1,x2\n1,2\n"}, PREDICT_ARGS, r"unknown link \['x'\]$"),
+                         "in.csv": "x1,x2\n1,2\n"}, PREDICT_ARGS,
+     r"^error: link must be one of \('identity', 'logistic'\), got \['x'\]$"),
     # a model file holds the keys `model_to_dict` writes, and its shape keys match its factors
     *[(f"model-{key}-mismatch",
        {"model.json": json.dumps(json.loads(xy_model_json()) | {key: value}),

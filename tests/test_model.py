@@ -7,13 +7,17 @@ from hypothesis import strategies as st
 
 from tensorpoly import (
     Dataset,
+    GeneratorSpec,
     LtrModel,
     TrainConfig,
     fit,
+    generate_model,
     materialize_tensor,
     predict,
+    sample_dataset,
     tensor_contract,
 )
+from tensorpoly.io import generator_spec
 from tensorpoly.metrics import rmse
 from tensorpoly.model import (
     forward_terms,
@@ -429,8 +433,18 @@ class TestValidation:
 
     def test_homogenized_must_be_a_boolean(self):
         # a truthy "false" would append the ones column on every prediction
-        with pytest.raises(ValueError, match="^homogenized must be true or false, got 'false'$"):
+        with pytest.raises(ValueError,
+                           match=r"^homogenized must be one of \(False, True\), got 'false'$"):
             LtrModel(P=[np.ones((1, 3))] * 2, Q=np.ones((1, 1)), lam=[1.0], homogenized="false")
+
+    @pytest.mark.parametrize("homogenized", [False, True])
+    def test_predict_refuses_non_finite_input(self, homogenized):
+        # a plain model used to return [[nan]]; both paths check each view once, by its name
+        width = 3 if homogenized else 2
+        model = LtrModel(P=[np.ones((1, width))] * 2, Q=np.ones((1, 1)), lam=[1.0],
+                         homogenized=homogenized)
+        with pytest.raises(ValueError, match=r"^views\[0\] contains non-finite values$"):
+            predict(model, np.array([[np.nan, 1.0]]))
 
     @pytest.mark.parametrize("field,build", [
         ("views[1]", lambda: Dataset(views=[np.zeros((2, 2)), {}], Y=np.zeros(2))),
@@ -450,3 +464,48 @@ class TestValidation:
         assert model.dims == (2, 3)
         with pytest.raises(ValueError):
             _ = model.n
+
+
+def _model_with(**kw):
+    return LtrModel(P=[np.ones((1, 2))] * 2, Q=np.ones((1, 1)), lam=[1.0], **kw)
+
+
+_SAMPLED = generate_model(GeneratorSpec(n=2, n_d=2, n_t=1, m=5))
+# one rule, one message shape: (holders as id -> (key, call), bad values and the message each
+# gets, with the holder's key in place of {key})
+SHARED_RULES = [
+    ({"TrainConfig.link": ("link", lambda v: TrainConfig(link=v)),
+      "LtrModel.link": ("link", lambda v: _model_with(link=v))},
+     [(value, "{key} must be one of ('identity', 'logistic'), got " + repr(value))
+      for value in ("softmax", ["logistic"], 1, True)]),
+    ({"TrainConfig.homogenize": ("homogenize", lambda v: TrainConfig(homogenize=v)),
+      "LtrModel.homogenized": ("homogenized", lambda v: _model_with(homogenized=v))},
+     [(value, "{key} must be one of (False, True), got " + repr(value))
+      for value in ("false", 1, 0.0, None)]),
+    ({"generator_spec.noise": ("noise", lambda v: generator_spec({"m": 5, "noise": v}, 0)),
+      "GeneratorSpec.noise_level": ("noise_level", lambda v: GeneratorSpec(
+          n=2, n_d=2, n_t=1, m=5, noise_level=v)),
+      "sample_dataset.noise_level": ("noise_level", lambda v: sample_dataset(_SAMPLED, 5, v))},
+     [(-1, "{key} must be >= 0, got -1"), (float("nan"), "{key} must be a finite number, got nan"),
+      (True, "{key} must be a finite number, got True"),
+      (np.True_, "{key} must be a finite number, got np.True_"),
+      ("0.5", "{key} must be a finite number, got '0.5'")]),
+    ({"TrainConfig.n_t": ("n_t", lambda v: TrainConfig(n_t=v)),
+      "GeneratorSpec.n": ("n", lambda v: GeneratorSpec(n=v, n_d=2, n_t=1, m=5)),
+      "generator_spec.rank": ("rank", lambda v: generator_spec({"m": 5, "rank": v}, 0)),
+      "sample_dataset.m": ("m", lambda v: sample_dataset(_SAMPLED, v))},
+     [(value, "{key} must be an integer >= 1, got " + repr(value))
+      for value in (True, np.True_, 0, 2.5)]),
+]
+
+
+@pytest.mark.parametrize(
+    "key,call,value,message",
+    [(key, call, value, message.format(key=key))
+     for holders, cases in SHARED_RULES
+     for key, call in holders.values() for value, message in cases],
+    ids=[f"{holder}-{value!r}"
+         for holders, cases in SHARED_RULES for holder in holders for value, _ in cases])
+def test_every_holder_of_a_rule_gives_one_message(key, call, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
