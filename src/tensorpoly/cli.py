@@ -94,9 +94,9 @@ def _read_csv_checked(path, need):
     present and finite."""
     X, Y = tio.read_dataset_csv(path)
     for group, A in zip("xy", (X, Y)):
-        if group in need and A is None:
-            raise ValueError(f"{path}: no {group}* columns")
         if group in need:
+            if A is None:
+                raise ValueError(f"{path}: no {group}* columns")
             _finite_matrix(A, f"{path}: {group.upper()}")
     return X, Y
 

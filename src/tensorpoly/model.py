@@ -23,13 +23,15 @@ import numpy as np
 ORACLE_SIZE_CAP = 10_000_000
 
 
-def _finite_matrix(X, name, ndim=2):
+def _finite_matrix(X, name, ndim=2, column=False):
     """``X`` as a C-order float array; a ValueError naming ``name`` unless it holds finite
-    numbers in ``ndim`` dimensions. C-order float input is returned as is."""
+    numbers in ``ndim`` dimensions, a 1-d ``X`` read as one column with ``column``.
+    C-order float input is returned as is."""
     try:
         A = np.asarray(X, dtype=float, order="C")
     except (TypeError, ValueError) as exc:  # an object, a string or a ragged list
         raise ValueError(f"{name} must be an array of numbers: {exc}") from None
+    A = A.reshape(-1, 1) if column and A.ndim == 1 else A
     if A.ndim != ndim:
         raise ValueError(f"{name} must be a {ndim}-d array, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
@@ -38,16 +40,14 @@ def _finite_matrix(X, name, ndim=2):
 
 
 def integral(name, value, low=1):
-    """``value`` as an int; a ValueError naming ``name`` unless it is an integer >= ``low``
-    (a boolean is not)."""
+    """``value`` as an int; a ValueError naming ``name`` unless it is an integer >= ``low``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
 
 
 def real(name, value, low=-math.inf):
-    """``value`` as a float; a ValueError naming ``name`` unless it is a finite real number
-    (a boolean is not) >= ``low``."""
+    """``value`` as a float; a ValueError naming ``name`` unless it is a finite real >= ``low``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     if value < low:
@@ -155,8 +155,7 @@ class Dataset:
         if not isinstance(self.views, (list, tuple)) or len(self.views) == 0:
             raise ValueError("views must be a non-empty list of matrices")
         self.views = resolve_views(self.views, len(self.views))
-        self.Y = _finite_matrix(np.reshape(self.Y, (-1, 1)) if np.ndim(self.Y) == 1 else self.Y,
-                                "Y")
+        self.Y = _finite_matrix(self.Y, "Y", column=True)
         if self.m != self.views[0].shape[0]:
             raise ValueError(f"Y has {self.m} rows, expected {self.views[0].shape[0]}")
 
@@ -200,13 +199,12 @@ def resolve_views(views, n_d, dims=None, homogenized=False):
     """Normalize ``views`` to one matrix per factor.
 
     Accepts a bare matrix, a 1-element list (shared across factors), or a
-    list of exactly ``n_d`` matrices. Each distinct view object is
-    converted and checked to be finite once and, with ``homogenized``,
-    gets its trailing 1 column once, so factors that share a view keep
-    sharing it and `z_factors` projects it in one product. All views must
-    have one row count. With
-    ``dims`` (the factor widths), each view must have exactly its
-    factor's raw width: one column fewer on a homogenized model.
+    list of exactly ``n_d`` matrices. Each distinct view object is converted
+    and checked to be finite once and, with ``homogenized``, gets its
+    trailing 1 column once, so factors that share a view keep sharing it and
+    `z_factors` projects it in one product. All views must have one row
+    count. With ``dims`` (the factor widths), each view must have exactly
+    its factor's raw width: one column fewer on a homogenized model.
     """
     if isinstance(views, np.ndarray):
         views = [views]

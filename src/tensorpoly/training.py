@@ -116,7 +116,9 @@ class FitReport:
     """Per-fit diagnostics.
 
     ``loss_traces`` holds one per-epoch trace per phase (one phase for
-    joint fits, one per rank or block otherwise). ``residual_norms``
+    joint fits, one per rank or block otherwise), and ``best_epoch`` the
+    1-based epoch of each phase's lowest loss, whose parameters the
+    phase returns. ``residual_norms``
     holds ``||Y - mean(offset)||`` before and after each block, with the
     link's ``mean`` and the blocks' summed pre-link output ``offset``;
     with the identity link it never increases, with the logistic link
@@ -127,6 +129,7 @@ class FitReport:
 
     mode: str
     loss_traces: list = field(default_factory=list)
+    best_epoch: list = field(default_factory=list)
     residual_norms: list = field(default_factory=list)
     eta_squared: list = None
     seconds: list = field(default_factory=list)
@@ -235,8 +238,9 @@ def _fit_block(views, Y, offset, n_t, config, rng, phase):
     """Fit one block of ``n_t`` terms on (views, Y) by mini-batch ADAM.
 
     The link is taken at ``offset + raw``: the earlier blocks' fixed
-    pre-link output plus this block's ``raw``, which is returned from the
-    last epoch's loss as ``(lam, P, Q, trace, raw)``; Q stays all-ones and
+    pre-link output plus this block's ``raw``. Returns ``(lam, P, Q, raw,
+    epoch, trace)`` of the epoch with the lowest full-data loss (the first
+    of equals), ``raw`` being that loss's own output; Q stays all-ones and
     untrained for scalar outputs. ``phase`` is the 1-based block index a
     divergence reports. Overflow on the way to a diverged loss is not
     warned about: the epoch-loss check raises `TrainingDivergedError`.
@@ -267,8 +271,10 @@ def _fit_block(views, Y, offset, n_t, config, rng, phase):
         L, raw = _raw_loss(P, lam, Q, views, Y, offset, config.C_p, config.C_q, config.link)
         if not np.isfinite(L):
             raise TrainingDivergedError(epoch, phase)
+        if not trace or L < min(trace):
+            best = (lam.copy(), [Pd.copy() for Pd in P], Q.copy(), raw, epoch)
         trace.append(L)
-    return lam, P, Q, trace, raw
+    return *best, trace
 
 
 def fit(dataset, config):
@@ -278,7 +284,8 @@ def fit(dataset, config):
     block of all ``n_t`` terms, ``layered`` fits ``config.rank_blocks``
     and ``rank_wise`` fits ``n_t`` one-term blocks.
     Each block is fitted with the earlier blocks' summed pre-link output
-    as a fixed offset inside the link, and a block that raises the
+    as a fixed offset inside the link and keeps the parameters of its
+    epoch with the lowest training loss, and a block that raises the
     training data loss is zeroed out, so that loss never rises from block
     to block. Layered fits also record the correlation ratio of the
     per-layer predictions.
@@ -301,17 +308,18 @@ def fit(dataset, config):
     fitted, layer_preds = [], []
     for phase, block in enumerate(blocks, 1):
         t0 = time.perf_counter()
-        lam_b, P_b, Q_b, trace, pred = _fit_block(views, Y, offset, block, config, rng, phase)
-        if data_loss(Y, offset + pred) > data_loss(Y, offset):
+        lam_b, P_b, Q_b, raw, best, trace = _fit_block(views, Y, offset, block, config, rng, phase)
+        if data_loss(Y, offset + raw) > data_loss(Y, offset):
             # the block did not help on the training data; drop its weight
             lam_b[:] = 0.0
-            pred = np.zeros_like(pred)
-        offset += pred
+            raw = np.zeros_like(raw)
+        offset += raw
         report.residual_norms.append(float(np.linalg.norm(Y - mean(offset))))
         fitted.append((lam_b, P_b, Q_b))
         report.loss_traces.append(trace)
+        report.best_epoch.append(best)
         if layered:
-            layer_preds.append(pred.reshape(-1))
+            layer_preds.append(raw.reshape(-1))
             report.eta_squared.append(correlation_ratio(np.vstack(layer_preds)))
         report.seconds.append(time.perf_counter() - t0)
     lams, Ps, Qs = zip(*fitted)

@@ -5,12 +5,15 @@ import pytest
 
 from tensorpoly import (
     Dataset,
+    GeneratorSpec,
     LtrModel,
     TrainConfig,
     fit,
+    generate_model,
     pearson,
     predict,
     quadratics_dataset,
+    sample_dataset,
 )
 from tensorpoly.training import (
     AdamState,
@@ -664,6 +667,51 @@ class TestTrainingInvariants:
             assert np.array_equal(a, b)
         assert c_report.loss_traces == f_report.loss_traces
         assert c_report.residual_norms == f_report.residual_norms
+
+
+class TestBestIterate:
+    @pytest.mark.parametrize("link", ["identity", "logistic"])
+    @pytest.mark.parametrize("mode", ["joint", "layered", "rank_wise"])
+    def test_each_block_returns_its_lowest_loss(self, monkeypatch, mode, link):
+        # lr 0.3 on batches of 20 makes the epoch loss go up and down in every case here
+        import tensorpoly.training as training
+        exact = training._fit_block
+        blocks = []
+
+        def spy(views, Y, offset, n_t, config, rng, phase):
+            lam, P, Q, raw, best, trace = out = exact(views, Y, offset, n_t, config, rng, phase)
+            L, raw_again = training._raw_loss(P, lam, Q, views, Y, offset, config.C_p,
+                                              config.C_q, config.link)
+            blocks.append((L, raw_again, raw, best, trace))
+            return out
+
+        monkeypatch.setattr(training, "_fit_block", spy)
+        rng = np.random.default_rng(30)
+        X = rng.standard_normal((400, 3))
+        Y = X[:, :1] * X[:, 1:2] + 0.3 * X[:, 2:] ** 2
+        Y = (Y > 0.3).astype(float) if link == "logistic" else Y
+        cfg = TrainConfig(n_d=2, n_t=3, epochs=6, batch_size=20, learning_rate=0.3, mode=mode,
+                          rank_blocks=[2, 1] if mode == "layered" else None, link=link, seed=0)
+        _, report = fit(Dataset(views=[X], Y=Y), cfg)
+        assert report.best_epoch == [best for _, _, _, best, _ in blocks]
+        assert any(best != cfg.epochs for best in report.best_epoch)
+        for L, raw_again, raw, best, trace in blocks:
+            assert L == min(trace) == trace[best - 1]
+            assert np.array_equal(raw_again, raw)
+
+    @pytest.mark.parametrize("seed", [4, 6])
+    def test_reference_fit_returns_its_best_epoch(self, seed):
+        # the benchmark-protocol data at batch 100: these seeds' last epochs end at 1,002x
+        # and 23x their minimum, and the fit used to return that last epoch
+        spec = GeneratorSpec(n=10, n_d=3, n_t=3, m=100_000, seed=7)
+        ds = sample_dataset(generate_model(spec), spec.m, seed=7)
+        cfg = TrainConfig(n_d=3, n_t=3, mode="joint", batch_size=100, learning_rate=0.05,
+                          epochs=10, seed=seed)
+        model, report = fit(ds, cfg)
+        trace = report.loss_traces[0]
+        assert trace[-1] > 20 * min(trace)
+        assert report.best_epoch == [trace.index(min(trace)) + 1]
+        assert loss(model, ds, cfg) == min(trace)
 
 
 class TestFitDispatcher:
