@@ -8,14 +8,14 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _paired(y, yhat, least):
-    """``y`` and ``yhat`` as float vectors of one length, at least ``least``."""
+def _paired(name, y, yhat, least):
+    """``y`` and ``yhat`` as float vectors of one length, at least ``least``, for ``name``."""
     y = np.asarray(y, dtype=float).reshape(-1)
     yhat = np.asarray(yhat, dtype=float).reshape(-1)
     if y.shape[0] != yhat.shape[0]:
         raise ValueError("length mismatch")
     if y.shape[0] < least:
-        raise ValueError(f"got {y.shape[0]} values, need at least {least}")
+        raise ValueError(f"{name} needs {least} or more values, got {y.shape[0]}")
     return y, yhat
 
 
@@ -25,7 +25,7 @@ def pearson(y, yhat):
     Returns NaN when either argument has zero variance; callers must
     treat that as "undefined", never as zero correlation.
     """
-    y, yhat = _paired(y, yhat, 2)
+    y, yhat = _paired("pearson", y, yhat, 2)
     dy = y - y.mean()
     dz = yhat - yhat.mean()
     denom = np.sqrt(np.sum(dy * dy) * np.sum(dz * dz))
@@ -36,13 +36,13 @@ def pearson(y, yhat):
 
 def rmse(y, yhat):
     """Root mean squared error."""
-    y, yhat = _paired(y, yhat, 1)
+    y, yhat = _paired("rmse", y, yhat, 1)
     return float(np.sqrt(np.mean((y - yhat) ** 2)))
 
 
 def accuracy(y_true, y_prob):
     """Fraction of correct {0,1} decisions at threshold 0.5."""
-    y_true, y_prob = _paired(y_true, y_prob, 1)
+    y_true, y_prob = _paired("accuracy", y_true, y_prob, 1)
     return float(np.mean((y_prob >= 0.5) == y_true))
 
 

@@ -284,10 +284,9 @@ def fit(dataset, config):
     block of all ``n_t`` terms, ``layered`` fits ``config.rank_blocks``
     and ``rank_wise`` fits ``n_t`` one-term blocks.
     Each block is fitted with the earlier blocks' summed pre-link output
-    as a fixed offset inside the link and keeps the parameters of its
-    epoch with the lowest training loss, and a block that raises the
-    training data loss is zeroed out, so that loss never rises from block
-    to block. Layered fits also record the correlation ratio of the
+    as a fixed offset inside the link and returns its lowest-loss epoch;
+    a block that raises the training data loss is zeroed out, so that
+    loss never rises from block to block. Layered fits also record the correlation ratio of the
     per-layer predictions.
     """
     if config.link == "logistic":
