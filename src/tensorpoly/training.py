@@ -286,8 +286,8 @@ def fit(dataset, config):
     Each block is fitted with the earlier blocks' summed pre-link output
     as a fixed offset inside the link and returns its lowest-loss epoch;
     a block that raises the training data loss is zeroed out, so that
-    loss never rises from block to block. Layered fits also record the correlation ratio of the
-    per-layer predictions.
+    loss never rises from block to block. Layered fits also record the
+    correlation ratio of the per-layer predictions.
     """
     if config.link == "logistic":
         _check_binary(dataset.Y, "logistic fit labels Y")
