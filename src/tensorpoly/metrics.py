@@ -19,6 +19,12 @@ def _paired(name, y, yhat, least):
     return y, yhat
 
 
+def _unit_scaled(d):
+    """``d`` times the power of two that brings its largest magnitude into [0.5, 1):
+    exact, so a correlation rounds as unscaled, and no sum of squares overflows."""
+    return np.ldexp(d, -np.frexp(np.max(np.abs(d)))[1])
+
+
 def pearson(y, yhat):
     """Sample Pearson correlation.
 
@@ -26,8 +32,8 @@ def pearson(y, yhat):
     treat that as "undefined", never as zero correlation.
     """
     y, yhat = _paired("pearson", y, yhat, 2)
-    dy = y - y.mean()
-    dz = yhat - yhat.mean()
+    dy = _unit_scaled(y - y.mean())
+    dz = _unit_scaled(yhat - yhat.mean())
     denom = np.sqrt(np.sum(dy * dy) * np.sum(dz * dz))
     if denom == 0.0:
         return float("nan")

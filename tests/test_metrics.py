@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,16 @@ class TestPearson:
         base = pearson(y, z)
         assert pearson(y, 2.5 * z + 1.0) == pytest.approx(base, rel=1e-12)
         assert pearson(y, -0.5 * z + 2.0) == pytest.approx(-base, rel=1e-12)
+
+    def test_large_finite_inputs_do_not_overflow(self):
+        rng = np.random.default_rng(4)
+        y = rng.standard_normal(2000)
+        z = y + rng.standard_normal(2000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pearson(1e100 * y, z) == pytest.approx(pearson(y, z), rel=1e-12)
+            for scaled in ((1e100 * y, 1e100 * z), (y, 1e160 * z), (1e-160 * y, z)):
+                assert pearson(*scaled) == pytest.approx(pearson(y, z), rel=1e-12)
 
 
 class TestRmse:
