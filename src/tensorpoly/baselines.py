@@ -8,18 +8,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gradcheck import central_difference
-from .model import homogenize
+from .model import homogenize, integral
 
 KRR_SIZE_CAP = 20_000
+POWER_BLOCK = 1 << 15  # kernel entries raised to n_d per block of rows
 
 
 def poly_kernel(X1, X2, b, n_d):
-    """Polynomial kernel K_ij = (<x1_i, x2_j> + b)^n_d."""
+    """Polynomial kernel K_ij = (<x1_i, x2_j> + b)^n_d.
+
+    The power is n_d - 1 in-place multiplications by a copy of one block
+    of rows at a time, so the kernel is the only full-size array.
+    """
+    n_d = integral("n_d", n_d, 1)
     X1 = np.asarray(X1, dtype=float)
     X2 = np.asarray(X2, dtype=float)
     if X1.shape[1] != X2.shape[1]:
         raise ValueError(f"column mismatch: {X1.shape[1]} vs {X2.shape[1]}")
-    return (X1 @ X2.T + b) ** n_d
+    K = X1 @ X2.T
+    K += b
+    if n_d > 1:
+        rows = max(1, POWER_BLOCK // max(1, K.shape[1]))
+        for start in range(0, K.shape[0], rows):
+            block = K[start:start + rows]
+            base = block.copy()
+            for _ in range(n_d - 1):
+                block *= base
+    return K
 
 
 @dataclass
@@ -75,14 +90,17 @@ def anova_terms(X, P, n_d):
     Newton-identity recursion A_d = (1/d) * sum_r (-1)^(r+1) A_{d-r} * D^(r)
     with A_0 all-ones.
     """
+    n_d = integral("n_d", n_d, 1)
     X = np.asarray(X, dtype=float)
     P = np.asarray(P, dtype=float)
     if X.shape[1] != P.shape[1]:
         raise ValueError(f"column mismatch: X has {X.shape[1]}, P has {P.shape[1]}")
     m, n_t = X.shape[0], P.shape[0]
-    power_sums = [None]  # D^(r), 1-based
-    for r in range(1, n_d + 1):
-        power_sums.append((X**r) @ (P**r).T)
+    Xr, Pr = X, P  # the running powers X^r and P^r
+    power_sums = [None, X @ P.T]  # D^(r), 1-based
+    for _ in range(2, n_d + 1):
+        Xr, Pr = Xr * X, Pr * P
+        power_sums.append(Xr @ Pr.T)
     A = [np.ones((m, n_t))]
     for d in range(1, n_d + 1):
         acc = np.zeros((m, n_t))

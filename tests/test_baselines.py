@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -53,6 +54,75 @@ class TestPolyKernel:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             poly_kernel(np.zeros((2, 3)), np.zeros((2, 4)), b=0.0, n_d=2)
+
+
+def pow_kernel(X1, X2, b, n_d):
+    """The kernel by numpy's ``**``, as reference for the repeated multiplication."""
+    return (X1 @ X2.T + b) ** n_d
+
+
+def pow_anova_terms(X, P, n_d, signed=True):
+    """The ANOVA terms with power sums by numpy's ``**``. ``signed=False`` runs the
+    recursion on ``|X|`` and ``|P|`` with every sign positive: the scale of its summands."""
+    if not signed:
+        X, P = np.abs(X), np.abs(P)
+    D = [None] + [(X**r) @ (P**r).T for r in range(1, n_d + 1)]
+    A = [np.ones((X.shape[0], P.shape[0]))]
+    for d in range(1, n_d + 1):
+        acc = np.zeros_like(A[0])
+        for r in range(1, d + 1):
+            acc += (1.0 if r % 2 or not signed else -1.0) * A[d - r] * D[r]
+        A.append(acc / d)
+    return A[1:]
+
+
+class TestIntegerPowers:
+    def test_poly_kernel_matches_pow(self):
+        # 300 rows of 200 columns span two row blocks, the second one partial
+        rng = np.random.default_rng(21)
+        X1 = rng.standard_normal((300, 5))
+        X2 = rng.standard_normal((200, 5))
+        for n_d in (1, 2):
+            assert np.array_equal(poly_kernel(X1, X2, 1.0, n_d), pow_kernel(X1, X2, 1.0, n_d))
+        for n_d in (3, 4, 5):
+            np.testing.assert_allclose(
+                poly_kernel(X1, X2, 1.0, n_d), pow_kernel(X1, X2, 1.0, n_d), rtol=1e-15, atol=0
+            )
+
+    def test_anova_terms_match_pow(self):
+        # Newton's recursion cancels, so entries far below their summands differ by
+        # more than 1e-15 of themselves under either form; the bound is 1e-15 of the
+        # summands' scale
+        rng = np.random.default_rng(22)
+        X = rng.standard_normal((300, 6))
+        P = rng.standard_normal((4, 6))
+        for n_d in (1, 2):
+            for A, ref in zip(anova_terms(X, P, n_d), pow_anova_terms(X, P, n_d)):
+                assert np.array_equal(A, ref)
+        for n_d in (3, 4, 5):
+            terms = zip(anova_terms(X, P, n_d), pow_anova_terms(X, P, n_d),
+                        pow_anova_terms(X, P, n_d, signed=False))
+            for A, ref, scale in terms:
+                assert np.all(np.abs(A - ref) <= 1e-15 * scale)
+
+    def test_poly_kernel_allocates_one_kernel(self):
+        X = np.random.default_rng(23).standard_normal((1000, 6))
+        for n_d in (1, 2, 3):
+            tracemalloc.start()
+            try:
+                K = poly_kernel(X, X, 1.0, n_d)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.25 * K.nbytes
+
+    @pytest.mark.parametrize("n_d", [0, 2.5, True])
+    def test_degree_must_be_a_positive_integer(self, n_d):
+        x = np.ones((2, 3))
+        with pytest.raises(ValueError, match="n_d"):
+            poly_kernel(x, x, 1.0, n_d)
+        with pytest.raises(ValueError, match="n_d"):
+            anova_terms(x, x, n_d)
 
 
 class TestKrr:
