@@ -10,7 +10,8 @@ of two runs names every output that moved. The outputs are:
   each `FitReport` field and the predictions on held-out rows;
 - the CLI pipeline ``generate -> train -> predict -> evaluate``: every
   file it writes;
-- a four-learner sweep over degrees 1-3 on 2 worker threads: the rows and the plot data.
+- a four-learner sweep over degrees 1-3 on 2 worker threads: the rows and
+  the plot data.
 
 Wall-clock fields (`FitReport.seconds`, ``train_seconds`` rows) are left
 out, since they differ from run to run.
