@@ -12,6 +12,7 @@ from .model import homogenize, integral
 
 KRR_SIZE_CAP = 20_000
 POWER_BLOCK = 1 << 15  # kernel entries raised to n_d per block of rows
+PREDICT_BLOCK = 1 << 18  # kernel entries per block of rows in krr_predict
 
 
 def poly_kernel(X1, X2, b, n_d):
@@ -65,8 +66,15 @@ def krr_fit(dataset, b=1.0, n_d=2, ridge=1e-8):
 
 
 def krr_predict(model, X):
-    K = poly_kernel(np.asarray(X, dtype=float), model.X_train, model.b, model.n_d)
-    return K @ model.alpha
+    """``K(X, X_train) @ alpha``, the kernel built one block of rows of ``X`` at a
+    time, so no test-by-train kernel is held whole."""
+    X = np.asarray(X, dtype=float)
+    rows = max(1, PREDICT_BLOCK // max(1, model.X_train.shape[0]))
+    out = np.empty(X.shape[0])
+    for start in range(0, X.shape[0], rows):
+        block = X[start:start + rows]
+        out[start:start + rows] = poly_kernel(block, model.X_train, model.b, model.n_d) @ model.alpha
+    return out
 
 
 def linreg_fit(dataset):

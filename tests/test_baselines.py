@@ -147,6 +147,29 @@ class TestKrr:
         with pytest.raises(ValueError):
             krr_fit(Dataset(views=[X], Y=np.zeros(KRR_SIZE_CAP + 1)), n_d=2)
 
+    def _model(self, m_test):
+        rng = np.random.default_rng(24)
+        X = rng.standard_normal((1000, 6))
+        model = krr_fit(Dataset(views=[X], Y=rng.standard_normal(1000)), b=1.0, n_d=3, ridge=1e-3)
+        return model, rng.standard_normal((m_test, 6))
+
+    def test_predict_matches_the_whole_kernel(self):
+        # 1000 training rows make blocks of 262 test rows: three blocks, the last one partial
+        model, X = self._model(600)
+        K = poly_kernel(X, model.X_train, model.b, model.n_d)
+        scale = np.abs(K) @ np.abs(model.alpha)
+        assert np.all(np.abs(krr_predict(model, X) - K @ model.alpha) <= 1e-13 * scale)
+
+    def test_predict_holds_one_block_of_the_kernel(self):
+        model, X = self._model(2000)
+        tracemalloc.start()
+        try:
+            krr_predict(model, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * X.shape[0] * model.X_train.shape[0] * 8
+
     def test_fits_quadratics(self):
         ds = quadratics_dataset("sq_diff", 400, seed=4)
         model = krr_fit(Dataset(views=[ds.X[:300]], Y=ds.Y[:300]), b=1.0, n_d=2, ridge=1e-8)
