@@ -10,6 +10,8 @@ import numpy as np
 from .gradcheck import central_difference
 from .model import homogenize, integral
 
+# krr_fit holds the m x m kernel and np.linalg.solve's copy of it, 16*m^2 bytes:
+# 64 MB at 2,000 rows, 6.4 GB at this cap
 KRR_SIZE_CAP = 20_000
 POWER_BLOCK = 1 << 15  # kernel entries raised to n_d per block of rows
 PREDICT_BLOCK = 1 << 18  # kernel entries per block of rows in krr_predict
@@ -49,7 +51,7 @@ class KrrModel:
 def krr_fit(dataset, b=1.0, n_d=2, ridge=1e-8):
     """Kernel ridge regression: solve (K + ridge*I) alpha = y.
 
-    Dense solve, capped at 20k examples; scalar outputs only.
+    Dense solve, capped at KRR_SIZE_CAP examples (16*m^2 bytes); scalar outputs only.
     """
     if dataset.n_y != 1:
         raise ValueError("KRR baseline is scalar-output")

@@ -2,8 +2,9 @@
 
 CSV files carry a header of feature columns ``x1..xn`` followed by
 output columns (``y`` for a single output, ``y1..yn_y`` otherwise).
-Floats are serialized at full round-trip precision. All writes go
-through a temp file plus rename so failures never leave partial output.
+Floats are serialized at full round-trip precision, one block of rows
+at a time. All writes go through a temp file plus rename so failures,
+mid-stream too, never leave partial output.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .model import LtrModel, integral, real
 from .training import TrainConfig
 
 MODEL_SCHEMA_VERSION = 1
+CSV_BLOCK = 1 << 16  # numbers formatted per block of rows in a CSV write
 
 # generator type -> the generator keys it reads; `generate` rejects any other
 GENERATOR_KEYS = {"random": ("type", "n", "degree", "rank", "m", "test_m", "noise", "seed"),
@@ -55,14 +57,16 @@ MODEL_KEYS = dict.fromkeys(("schema_version", "n_d", "n_t", "n", "n_y", "homogen
                             "P", "Q", "link"))
 
 
-def _atomic_write(path, text):
+def _atomic_write(path, chunks):
+    """Write ``chunks``, one str or an iterable of str, to ``path`` through a temp file and a
+    rename: a failure, mid-stream too, leaves no temp file and any old ``path`` as it was."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines([chunks] if isinstance(chunks, str) else chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -70,10 +74,16 @@ def _atomic_write(path, text):
         raise
 
 
-def _rows_to_csv(header, rows):
-    # one bulk %-format call; "%r" of a Python float is its shortest round-trip repr
-    line = ",".join(["%r"] * rows.shape[1]) + "\n"
-    return ",".join(header) + "\n" + (line * rows.shape[0]) % tuple(rows.ravel().tolist())
+def _rows_to_csv(header, *columns):
+    """The CSV text of ``header`` over the 2-d ``columns`` side by side: the header line,
+    then one bulk %-format call per block of about CSV_BLOCK numbers."""
+    width = sum(c.shape[1] for c in columns)
+    line = ",".join(["%r"] * width) + "\n"  # "%r" of a Python float: its shortest round-trip repr
+    yield ",".join(header) + "\n"
+    rows = max(1, CSV_BLOCK // max(1, width))
+    for start in range(0, columns[0].shape[0], rows):
+        block = np.hstack([c[start:start + rows] for c in columns])
+        yield (line * block.shape[0]) % tuple(block.ravel().tolist())
 
 
 def _y_names(n_y):
@@ -84,14 +94,15 @@ def write_dataset_csv(path, X, Y=None):
     """Write features (and outputs, if given) to one CSV."""
     X = np.asarray(X, dtype=float)
     header = [f"x{j + 1}" for j in range(X.shape[1])]
-    if Y is None:
-        rows = X
-    else:
+    columns = (X,)
+    if Y is not None:
         Y = np.asarray(Y, dtype=float)
         Y = Y.reshape(-1, 1) if Y.ndim == 1 else Y
+        if Y.shape[0] != X.shape[0]:
+            raise ValueError(f"X has {X.shape[0]} rows, Y has {Y.shape[0]}")
         header += _y_names(Y.shape[1])
-        rows = np.hstack([X, Y])
-    _atomic_write(path, _rows_to_csv(header, rows))
+        columns = (X, Y)
+    _atomic_write(path, _rows_to_csv(header, *columns))
 
 
 def write_predictions_csv(path, Y):

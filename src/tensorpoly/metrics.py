@@ -19,10 +19,15 @@ def _paired(name, y, yhat, least):
     return y, yhat
 
 
+def _unit_exponent(d):
+    """The exponent e that puts ``d``'s largest magnitude in [2**(e - 1), 2**e)."""
+    return np.frexp(np.max(np.abs(d)))[1]
+
+
 def _unit_scaled(d):
-    """``d`` times the power of two that brings its largest magnitude into [0.5, 1):
-    exact, so a correlation rounds as unscaled, and no sum of squares overflows."""
-    return np.ldexp(d, -np.frexp(np.max(np.abs(d)))[1])
+    """``d`` scaled by `_unit_exponent`: exact, so a correlation rounds as unscaled,
+    and no sum of squares overflows or underflows to zero."""
+    return np.ldexp(d, -_unit_exponent(d))
 
 
 def pearson(y, yhat):
@@ -41,9 +46,12 @@ def pearson(y, yhat):
 
 
 def rmse(y, yhat):
-    """Root mean squared error."""
+    """Root mean squared error. The errors are unit-scaled before squaring and the root is
+    scaled back, which is exact, so large or tiny finite errors neither overflow nor vanish."""
     y, yhat = _paired("rmse", y, yhat, 1)
-    return float(np.sqrt(np.mean((y - yhat) ** 2)))
+    d = y - yhat
+    e = _unit_exponent(d)
+    return float(np.ldexp(np.sqrt(np.mean(np.ldexp(d, -e) ** 2)), e))
 
 
 def accuracy(y_true, y_prob):

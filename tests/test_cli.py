@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -15,7 +16,9 @@ import pytest
 from tensorpoly import Dataset, LtrModel, TrainConfig, benchmark, fit, predict, quadratics_dataset
 from tensorpoly.cli import build_parser, main
 from tensorpoly.io import (
+    CSV_BLOCK,
     RUN_CONFIG,
+    _atomic_write,
     check_config,
     load_model,
     model_from_dict,
@@ -947,3 +950,92 @@ class TestDatasetCsv:
         write_predictions_csv(tmp_path / "p.csv", Y)
         assert (tmp_path / "p.csv").read_bytes() == \
             csv_writer_reference(["y1", "y2"], Y).encode()
+
+
+def one_shot_reference(header, rows):
+    """The whole-file %-format call the block writer replaced; its bytes are the file format."""
+    line = ",".join(["%r"] * rows.shape[1]) + "\n"
+    return ",".join(header) + "\n" + (line * rows.shape[0]) % tuple(rows.ravel().tolist())
+
+
+def block_rows(width):
+    return max(1, CSV_BLOCK // width)
+
+
+class TestCsvBlocks:
+    """CSV writes format one block of about CSV_BLOCK numbers at a time; the bytes and the
+    round trip must not depend on where the blocks end."""
+
+    ROW_COUNTS = {"empty": lambda b: 0, "one": lambda b: 1, "block-1": lambda b: b - 1,
+                  "block": lambda b: b, "block+1": lambda b: b + 1, "2blocks+3": lambda b: 2 * b + 3}
+    # x columns, y columns, Y passed as a vector
+    SHAPES = {"x-only": (4, 0, False), "1-d-y": (4, 1, True), "3-col-y": (4, 3, False),
+              "wide-x": (64, 0, False)}
+
+    @staticmethod
+    def values(rng, m, width):
+        A = rng.standard_normal((m, width)) * 10.0 ** rng.integers(-300, 300, (m, width))
+        A.ravel()[:len(EXTREMES)] = EXTREMES[:A.size]
+        return A
+
+    @staticmethod
+    def y_names(n_y):
+        return ["y"] if n_y == 1 else [f"y{j + 1}" for j in range(n_y)]
+
+    @pytest.mark.parametrize("count", ROW_COUNTS)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_dataset_bytes_and_round_trip(self, tmp_path, shape, count):
+        n, n_y, vector = self.SHAPES[shape]
+        m = self.ROW_COUNTS[count](block_rows(n + n_y))
+        rng = np.random.default_rng(m * 100 + n + n_y)
+        X, Y = self.values(rng, m, n), self.values(rng, m, n_y)
+        write_dataset_csv(tmp_path / "d.csv", X, (Y[:, 0] if vector else Y) if n_y else None)
+        header = [f"x{j + 1}" for j in range(n)] + (self.y_names(n_y) if n_y else [])
+        expected = one_shot_reference(header, np.hstack([X, Y]))
+        assert (tmp_path / "d.csv").read_bytes() == expected.encode()
+        X_back, Y_back = read_dataset_csv(tmp_path / "d.csv")
+        assert X_back.shape == (m, n) and X_back.tobytes() == X.tobytes()
+        if n_y:
+            assert Y_back.shape == (m, n_y) and Y_back.tobytes() == Y.tobytes()
+
+    @pytest.mark.parametrize("count", ROW_COUNTS)
+    @pytest.mark.parametrize("n_y, vector", [(1, True), (3, False)])
+    def test_prediction_bytes_and_round_trip(self, tmp_path, n_y, vector, count):
+        m = self.ROW_COUNTS[count](block_rows(n_y))
+        Y = self.values(np.random.default_rng(m + n_y), m, n_y)
+        write_predictions_csv(tmp_path / "p.csv", Y[:, 0] if vector else Y)
+        assert (tmp_path / "p.csv").read_bytes() == one_shot_reference(self.y_names(n_y), Y).encode()
+        _, Y_back = read_dataset_csv(tmp_path / "p.csv")
+        assert Y_back.shape == (m, n_y) and Y_back.tobytes() == Y.tobytes()
+
+    def test_failure_mid_stream_leaves_the_old_file(self, tmp_path):
+        target = tmp_path / "d.csv"
+        target.write_bytes(b"x1\n1.0\n")
+
+        def chunks():
+            yield "x1\n"
+            raise RuntimeError("formatting failed")
+
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            _atomic_write(target, chunks())
+        assert target.read_bytes() == b"x1\n1.0\n"
+        assert list(tmp_path.iterdir()) == [target]
+
+    @pytest.mark.parametrize("m", [3, 0])  # with 0 rows no block would ever stack Y
+    def test_row_count_mismatch_writes_nothing(self, tmp_path, m):
+        with pytest.raises(ValueError, match=f"X has {m} rows, Y has 2"):
+            write_dataset_csv(tmp_path / "d.csv", np.zeros((m, 2)), np.zeros(2))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_write_memory_does_not_grow_with_rows(self, tmp_path):
+        # traced inside the call only, so the input arrays are not counted
+        peaks = []
+        for m in (20_000, 200_000):
+            X = np.random.default_rng(m).standard_normal((m, 4))
+            tracemalloc.start()
+            try:
+                write_dataset_csv(tmp_path / f"{m}.csv", X)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks

@@ -70,6 +70,34 @@ class TestRmse:
         with pytest.raises(ValueError):
             rmse([], [])
 
+    def test_large_finite_errors_do_not_overflow(self):
+        rng = np.random.default_rng(5)
+        y, z = rng.standard_normal(2000), rng.standard_normal(2000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rmse([1e155], [-1e155]) == 2e155
+            assert rmse(1e160 * y, 1e160 * z) == pytest.approx(1e160 * rmse(y, z), rel=1e-12)
+
+    def test_tiny_errors_do_not_underflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rmse([1e-170], [0.0]) == 1e-170
+            assert rmse([1.0, 1e-170], [1.0, 0.0]) == pytest.approx(1e-170 / math.sqrt(2), rel=1e-15)
+            assert rmse([0.0, 5e-324], [0.0, 0.0]) > 0.0
+
+    def test_ordinary_errors_round_as_unscaled(self):
+        # the power-of-two scaling is exact, so seeded evaluations do not move
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            m = int(rng.integers(1, 500))
+            y = rng.standard_normal(m) * 10.0 ** rng.integers(-100, 100)
+            z = y + rng.standard_normal(m) * 10.0 ** rng.integers(-100, 100)
+            assert rmse(y, z) == float(np.sqrt(np.mean((y - z) ** 2)))
+
+    def test_non_finite_errors_propagate(self):
+        assert rmse([1.0, np.inf], [0.0, 0.0]) == np.inf
+        assert math.isnan(rmse([1.0, np.nan], [0.0, 0.0]))
+
 
 class TestF1Multilabel:
     def test_perfect_prediction(self):
