@@ -3,18 +3,21 @@ regression, and the factorization-machine forward form."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .gradcheck import central_difference
-from .model import homogenize, integral
+from .model import homogenize, integral, real
 
-# krr_fit holds the m x m kernel and np.linalg.solve's copy of it, 16*m^2 bytes:
+# krr_fit holds m*D + D^2 floats on its primal path (1.4 MB at 2,000 x 6, degree 3) and
+# 16*m^2 bytes on its dual path, the m x m kernel and np.linalg.solve's copy of it:
 # 64 MB at 2,000 rows, 6.4 GB at this cap
 KRR_SIZE_CAP = 20_000
 POWER_BLOCK = 1 << 15  # kernel entries raised to n_d per block of rows
-PREDICT_BLOCK = 1 << 18  # kernel entries per block of rows in krr_predict
+PREDICT_BLOCK = 1 << 18  # basis entries per block of rows in krr_predict
 
 
 def poly_kernel(X1, X2, b, n_d):
@@ -40,42 +43,78 @@ def poly_kernel(X1, X2, b, n_d):
     return K
 
 
+def poly_features(X, b, n_d):
+    """The feature map of `poly_kernel`: ``poly_features(X1) @ poly_features(X2).T`` is
+    ``poly_kernel(X1, X2)`` at the same ``b`` and ``n_d``. One column per degree-n_d
+    monomial of ``(x, sqrt(b))``, C(n + n_d, n_d) in all, each scaled by the square root
+    of its multinomial coefficient."""
+    n_d = integral("n_d", n_d, 1)
+    X = np.asarray(X, dtype=float)
+    Z = np.hstack([X, np.full((X.shape[0], 1), math.sqrt(b))])
+    monomials = list(combinations_with_replacement(range(Z.shape[1]), n_d))
+    factors = np.array(monomials).T  # row k: the variable of each monomial's k-th factor
+    Phi = Z[:, factors[0]]
+    for variables in factors[1:]:
+        Phi *= Z[:, variables]
+    Phi *= np.sqrt([math.factorial(n_d) // math.prod(math.factorial(c.count(i)) for i in set(c))
+                    for c in monomials])
+    return Phi
+
+
 @dataclass
 class KrrModel:
-    X_train: np.ndarray
-    alpha: np.ndarray
+    """``coef`` weighs the columns of `poly_features` when ``X_train`` is None (the primal
+    path), else those of `poly_kernel` against ``X_train`` (the dual path)."""
+    X_train: np.ndarray | None
+    coef: np.ndarray
     b: float
     n_d: int
 
+    def basis(self, X):
+        """The columns that ``coef`` weighs, at the rows of ``X``."""
+        if self.X_train is None:
+            return poly_features(X, self.b, self.n_d)
+        return poly_kernel(X, self.X_train, self.b, self.n_d)
+
 
 def krr_fit(dataset, b=1.0, n_d=2, ridge=1e-8):
-    """Kernel ridge regression: solve (K + ridge*I) alpha = y.
+    """Kernel ridge regression with `poly_kernel`; scalar outputs only.
 
-    Dense solve, capped at KRR_SIZE_CAP examples (16*m^2 bytes); scalar outputs only.
+    Primal and dual ridge regression give one model (Saunders, Gammerman & Vovk, 1998),
+    so this solves the smaller system: ``(Phi^T Phi + ridge*I) w = Phi^T y`` on the
+    D = C(n + n_d, n_d) columns of `poly_features` when D <= m, holding m*D + D^2 floats,
+    else ``(K + ridge*I) alpha = y``, holding 16*m^2 bytes. Both refuse m > KRR_SIZE_CAP.
     """
     if dataset.n_y != 1:
         raise ValueError("KRR baseline is scalar-output")
+    b = real("b", b, 0)  # poly_features takes sqrt(b)
+    n_d = integral("n_d", n_d, 1)
     X = dataset.X
-    if X.shape[0] > KRR_SIZE_CAP:
-        raise ValueError(f"m={X.shape[0]} exceeds the dense-solve cap {KRR_SIZE_CAP}")
-    K = poly_kernel(X, X, b, n_d)
-    K.flat[:: K.shape[0] + 1] += ridge  # the diagonal, in place
+    m, n = X.shape
+    if m > KRR_SIZE_CAP:
+        raise ValueError(f"m={m} exceeds the dense-solve cap {KRR_SIZE_CAP}")
+    y = dataset.Y[:, 0]
+    if math.comb(n + n_d, n_d) <= m:
+        Phi = poly_features(X, b, n_d)
+        A, rhs, X_train = Phi.T @ Phi, Phi.T @ y, None
+    else:
+        A, rhs, X_train = poly_kernel(X, X, b, n_d), y, X
+    A.flat[:: A.shape[0] + 1] += ridge  # the diagonal, in place
     try:
-        alpha = np.linalg.solve(K, dataset.Y[:, 0])
+        coef = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"kernel system is singular: {exc}") from exc
-    return KrrModel(X_train=X, alpha=alpha, b=b, n_d=n_d)
+    return KrrModel(X_train=X_train, coef=coef, b=b, n_d=n_d)
 
 
 def krr_predict(model, X):
-    """``K(X, X_train) @ alpha``, the kernel built one block of rows of ``X`` at a
-    time, so no test-by-train kernel is held whole."""
+    """``model.basis(X) @ model.coef``, the basis built one block of rows of ``X`` at a
+    time, so no test-by-basis matrix is held whole."""
     X = np.asarray(X, dtype=float)
-    rows = max(1, PREDICT_BLOCK // max(1, model.X_train.shape[0]))
+    rows = max(1, PREDICT_BLOCK // max(1, model.coef.size))
     out = np.empty(X.shape[0])
     for start in range(0, X.shape[0], rows):
-        block = X[start:start + rows]
-        out[start:start + rows] = poly_kernel(block, model.X_train, model.b, model.n_d) @ model.alpha
+        out[start:start + rows] = model.basis(X[start:start + rows]) @ model.coef
     return out
 
 

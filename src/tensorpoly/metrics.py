@@ -47,11 +47,14 @@ def pearson(y, yhat):
 
 def rmse(y, yhat):
     """Root mean squared error. The errors are unit-scaled before squaring and the root is
-    scaled back, which is exact, so large or tiny finite errors neither overflow nor vanish."""
+    scaled back, which is exact, so large or tiny finite errors neither overflow nor vanish.
+    If an entry reaches 2**1023, where ``y - yhat`` can overflow, both are halved first,
+    which rounds subnormal entries only."""
     y, yhat = _paired("rmse", y, yhat, 1)
-    d = y - yhat
+    h = int(max(np.max(np.abs(y)), np.max(np.abs(yhat))) >= 2.0**1023)
+    d = np.ldexp(y, -h) - np.ldexp(yhat, -h)
     e = _unit_exponent(d)
-    return float(np.ldexp(np.sqrt(np.mean(np.ldexp(d, -e) ** 2)), e))
+    return float(np.ldexp(np.sqrt(np.mean(np.ldexp(d, -e) ** 2)), e + h))
 
 
 def accuracy(y_true, y_prob):

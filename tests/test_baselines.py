@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 import warnings
 
@@ -15,6 +16,7 @@ from tensorpoly.baselines import (
     krr_predict,
     linreg_fit,
     linreg_predict,
+    poly_features,
     poly_kernel,
 )
 from tensorpoly.benchmark import _point_seeds
@@ -54,6 +56,18 @@ class TestPolyKernel:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             poly_kernel(np.zeros((2, 3)), np.zeros((2, 4)), b=0.0, n_d=2)
+
+    def test_feature_gram_is_the_kernel(self):
+        # the bound is 1e-14 of the kernel on |X|, the scale of the expansion's summands
+        rng = np.random.default_rng(25)
+        X1 = rng.standard_normal((40, 4))
+        X2 = rng.standard_normal((30, 4))
+        for b in (0.0, 1.0):
+            for n_d in (1, 2, 3, 4, 5):
+                Phi1, Phi2 = poly_features(X1, b, n_d), poly_features(X2, b, n_d)
+                assert Phi1.shape == (40, math.comb(4 + n_d, n_d))
+                scale = poly_kernel(np.abs(X1), np.abs(X2), b, n_d)
+                assert np.all(np.abs(Phi1 @ Phi2.T - poly_kernel(X1, X2, b, n_d)) <= 1e-14 * scale)
 
 
 def pow_kernel(X1, X2, b, n_d):
@@ -148,17 +162,20 @@ class TestKrr:
             krr_fit(Dataset(views=[X], Y=np.zeros(KRR_SIZE_CAP + 1)), n_d=2)
 
     def _model(self, m_test):
+        # 20 inputs at degree 3 have C(23, 3) = 1,771 features, more than the 1,000 rows,
+        # so the fit takes the dual path and predict builds the kernel
         rng = np.random.default_rng(24)
-        X = rng.standard_normal((1000, 6))
+        X = rng.standard_normal((1000, 20))
         model = krr_fit(Dataset(views=[X], Y=rng.standard_normal(1000)), b=1.0, n_d=3, ridge=1e-3)
-        return model, rng.standard_normal((m_test, 6))
+        assert model.X_train is X
+        return model, rng.standard_normal((m_test, 20))
 
     def test_predict_matches_the_whole_kernel(self):
         # 1000 training rows make blocks of 262 test rows: three blocks, the last one partial
         model, X = self._model(600)
         K = poly_kernel(X, model.X_train, model.b, model.n_d)
-        scale = np.abs(K) @ np.abs(model.alpha)
-        assert np.all(np.abs(krr_predict(model, X) - K @ model.alpha) <= 1e-13 * scale)
+        scale = np.abs(K) @ np.abs(model.coef)
+        assert np.all(np.abs(krr_predict(model, X) - K @ model.coef) <= 1e-13 * scale)
 
     def test_predict_holds_one_block_of_the_kernel(self):
         model, X = self._model(2000)
@@ -169,6 +186,46 @@ class TestKrr:
         finally:
             tracemalloc.stop()
         assert peak < 0.25 * X.shape[0] * model.X_train.shape[0] * 8
+
+    def test_primal_matches_the_dual_closed_form(self):
+        # 6 inputs have 7, 28 and 84 features at degrees 1-3, fewer than the 1,000 rows
+        rng = np.random.default_rng(26)
+        X, X_test = rng.standard_normal((1000, 6)), rng.standard_normal((500, 6))
+        y = rng.standard_normal(1000)
+        for n_d in (1, 2, 3):
+            model = krr_fit(Dataset(views=[X], Y=y), b=1.0, n_d=n_d, ridge=1e-3)
+            assert model.X_train is None
+            K = poly_kernel(X, X, 1.0, n_d) + 1e-3 * np.eye(1000)
+            alpha = np.linalg.solve(K, y)
+            K_test = poly_kernel(X_test, X, 1.0, n_d)
+            scale = np.abs(K_test) @ np.abs(alpha)
+            assert np.all(np.abs(krr_predict(model, X_test) - K_test @ alpha) <= 1e-13 * scale)
+
+    def test_primal_path_from_as_many_rows_as_features(self):
+        # 3 inputs at degree 2 have C(5, 2) = 10 features
+        rng = np.random.default_rng(27)
+        for m, primal in ((10, True), (9, False)):
+            ds = Dataset(views=[rng.standard_normal((m, 3))], Y=rng.standard_normal(m))
+            assert (krr_fit(ds, n_d=2).X_train is None) == primal
+
+    def test_primal_fit_holds_no_kernel(self):
+        # the 2,000 x 2,000 kernel alone is 32 MB; the features are 2,000 x 84
+        rng = np.random.default_rng(28)
+        X, X_test = rng.standard_normal((2000, 6)), rng.standard_normal((2000, 6))
+        ds = Dataset(views=[X], Y=rng.standard_normal(2000))
+        tracemalloc.start()
+        try:
+            krr_predict(krr_fit(ds, b=1.0, n_d=3), X_test)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    @pytest.mark.parametrize("b", [-1.0, np.inf, True])
+    def test_bias_must_be_a_nonnegative_real(self, b):
+        ds = Dataset(views=[np.ones((3, 2))], Y=np.ones(3))
+        with pytest.raises(ValueError, match="b must be"):
+            krr_fit(ds, b=b)
 
     def test_fits_quadratics(self):
         ds = quadratics_dataset("sq_diff", 400, seed=4)

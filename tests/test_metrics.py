@@ -78,6 +78,14 @@ class TestRmse:
             assert rmse([1e155], [-1e155]) == 2e155
             assert rmse(1e160 * y, 1e160 * z) == pytest.approx(1e160 * rmse(y, z), rel=1e-12)
 
+    def test_overflowing_difference_stays_finite(self):
+        # y - yhat overflows here, although the root is a finite double
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rmse([1e308, 0.0], [-1e308, 0.0]) == pytest.approx(math.sqrt(2) * 1e308, rel=1e-15)
+            assert rmse([1e308, 1e-300], [1e308, 0.0]) == pytest.approx(1e-300 / math.sqrt(2), rel=1e-15)
+            assert rmse([1e200, 1e-150], [1e200, 0.0]) == pytest.approx(1e-150 / math.sqrt(2), rel=1e-15)
+
     def test_tiny_errors_do_not_underflow(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -20,6 +20,7 @@ def test_two_runs_print_identical_hashes():
     assert all(len(line.split()) == 2 and len(line.split()[1]) == 64 for line in lines)
     labels = [line.split()[0] for line in lines]
     assert len(set(labels)) == len(labels)
-    assert {label.split("/")[0] for label in labels} == {"fit", "cli", "sweep"}
+    assert {label.split("/")[0] for label in labels} == {"fit", "cli", "sweep", "krr"}
     assert {f"sweep/rows/{learner}" for learner in ("ltr", "lr", "krr", "fm")} <= set(labels)
+    assert "krr/dual/predict" in labels
     assert elapsed < 15

@@ -11,7 +11,9 @@ of two runs names every output that moved. The outputs are:
 - the CLI pipeline ``generate -> train -> predict -> evaluate``: every
   file it writes;
 - a four-learner sweep over degrees 1-3 on 2 worker threads: the rows and
-  the plot data.
+  the plot data;
+- a KRR fit with more polynomial features than rows, so that it takes the
+  dual path, which no sweep point takes: the predictions on held-out rows.
 
 Wall-clock fields (`FitReport.seconds`, ``train_seconds`` rows) are left
 out, since they differ from run to run.
@@ -33,6 +35,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from tensorpoly import Dataset, TrainConfig, fit, predict  # noqa: E402
+from tensorpoly.baselines import krr_fit, krr_predict  # noqa: E402
 from tensorpoly.benchmark import run_benchmark  # noqa: E402
 from tensorpoly.cli import main as cli_main  # noqa: E402
 from tensorpoly.io import jsonable  # noqa: E402
@@ -131,8 +134,17 @@ def sweep_outputs():
     yield "sweep/plot", plot
 
 
+def krr_outputs():
+    # 20 inputs at degree 3 have C(23, 3) = 1,771 features against 200 rows
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((240, 20))
+    y = X[:, 0] * X[:, 1] * X[:, 2] + 0.5 * X[:, 3] + 0.1 * rng.standard_normal(240)
+    model = krr_fit(Dataset(views=[X[:200]], Y=y[:200]), n_d=3)
+    yield "krr/dual/predict", krr_predict(model, X[200:])
+
+
 def main():
-    for outputs in (fit_outputs, cli_outputs, sweep_outputs):
+    for outputs in (fit_outputs, cli_outputs, sweep_outputs, krr_outputs):
         for label, value in outputs():
             print(label, digest(value))
 
