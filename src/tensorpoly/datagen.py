@@ -47,7 +47,7 @@ def sample_dataset(model, m, noise_level=0.0, seed=0):
     real("noise_level", noise_level, 0)
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((m, model.n))
-    _, _, y = forward_terms(model.P, model.lam, model.Q, [X] * model.n_d)
+    _, _, y = forward_terms(model.P, model.lam, model.Q, [X])
     if noise_level > 0:
         sigma = noise_level * float(np.std(y))
         y = y + rng.standard_normal(y.shape) * sigma

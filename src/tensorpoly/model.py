@@ -143,9 +143,9 @@ class LtrModel:
 class Dataset:
     """Input views plus outputs, rows are examples.
 
-    ``views`` holds one matrix for the single-view case and ``n_d``
-    matrices (one per factor) for the multi-view case; all share the
-    same row count as ``Y``.
+    ``views`` holds one matrix read by every factor (single-view) or one
+    matrix per factor (multi-view), each its own view whatever object it
+    is; all share the same row count as ``Y``.
     """
 
     views: list
@@ -179,69 +179,53 @@ class Dataset:
         return Dataset(views=take_rows(self.views, idx), Y=np.take(self.Y, idx, axis=0))
 
 
-def _each_distinct(views, fn):
-    """``[fn(d, V) for d, V in enumerate(views)]``, with ``fn`` called once per
-    distinct view object: entries that share a view share the result."""
-    done = {}
-    for d, V in enumerate(views):
-        if id(V) not in done:
-            done[id(V)] = fn(d, V)
-    return [done[id(V)] for V in views]
+def factor_views(views, n_d):
+    """The view each of ``n_d`` factors reads from a resolved list, in factor order."""
+    return views * n_d if len(views) == 1 else views
 
 
 def take_rows(views, idx):
-    """Rows ``idx`` of each view, gathered once per distinct view object, so
-    factors that share a view share its batch (and one `z_factors` product)."""
-    return _each_distinct(views, lambda d, V: np.take(V, idx, axis=0))
+    """Rows ``idx`` of each view in a resolved list, one gather per entry."""
+    return [np.take(V, idx, axis=0) for V in views]
 
 
 def resolve_views(views, n_d, dims=None, homogenized=False):
-    """Normalize ``views`` to one matrix per factor.
+    """Check ``views`` for ``n_d`` factors; a list of 1 or ``n_d`` C-order views.
 
-    Accepts a bare matrix, a 1-element list (shared across factors), or a
-    list of exactly ``n_d`` matrices. Each distinct view object is converted
-    and checked to be finite once and, with ``homogenized``, gets its
-    trailing 1 column once, so factors that share a view keep sharing it and
-    `z_factors` projects it in one product. All views must have one row
-    count. With ``dims`` (the factor widths), each view must have exactly
-    its factor's raw width: one column fewer on a homogenized model.
+    A bare matrix or a 1-element list is one view that every factor reads, a
+    list of ``n_d`` matrices one view per factor, whatever objects they are.
+    Each entry is converted, checked to be finite and, with ``homogenized``,
+    given its trailing 1 column once. All views share one row count; with
+    ``dims``, each factor's view has that factor's width, less 1 if homogenized.
     """
     if isinstance(views, np.ndarray):
         views = [views]
     if len(views) not in (1, n_d):
         raise ValueError(f"expected 1 or {n_d} views, got {len(views)}")
-    if len(views) == 1:
-        views = list(views) * n_d
-    views = _each_distinct(views, lambda d, V: _finite_matrix(V, f"views[{d}]"))
+    views = [_finite_matrix(V, f"views[{d}]") for d, V in enumerate(views)]
     raw = [width - 1 for width in dims] if dims is not None and homogenized else dims
-    for d, V in enumerate(views):
+    for d, V in enumerate(factor_views(views, n_d)):
         if V.shape[0] != views[0].shape[0]:
             raise ValueError(f"views[{d}] has {V.shape[0]} rows, expected {views[0].shape[0]}")
         if raw is not None and V.shape[1] != raw[d]:
             raise ValueError(f"view {d} has {V.shape[1]} columns, factor expects {raw[d]}")
     if homogenized:
-        views = _each_distinct(views, lambda d, V: homogenize(V))
+        views = [homogenize(V) for V in views]
     return views
 
 
 def z_factors(P, views):
-    """Per-factor projections Z_d = X_d P_d^T, each (m, n_t).
+    """Per-factor projections Z_d = X_d P_d^T, each (m, n_t) in Fortran order.
 
-    Factors that read the same view object share one product,
-    ``vstack(P_group) @ V^T`` of shape (k n_t, m): one wide GEMM instead
-    of k narrow ones. ``Z_d`` is its row block, transposed, a
-    Fortran-order view with no copy.
+    One view is projected for all factors in one product, ``vstack(P) @
+    V^T`` of shape (n_d n_t, m): one wide GEMM instead of n_d narrow ones,
+    whose row blocks, transposed, are the ``Z_d`` with no copy. One view
+    per factor gives ``Z_d = (P_d V_d^T)^T``.
     """
-    groups = {}
-    for d, V in enumerate(views):
-        groups.setdefault(id(V), (V, []))[1].append(d)
-    n_t = P[0].shape[0]
-    Z = [None] * len(P)
-    for V, factors in groups.values():
-        stacked = np.vstack([P[d] for d in factors]) @ V.T
-        for j, d in enumerate(factors):
-            Z[d] = stacked[j * n_t:(j + 1) * n_t].T
-    return Z
+    if len(views) > 1:
+        return [(Pd @ V.T).T for Pd, V in zip(P, views)]
+    stacked = np.vstack(P) @ views[0].T
+    return [block.T for block in stacked.reshape(len(P), P[0].shape[0], -1)]
 
 
 def hadamard_partials(Z):

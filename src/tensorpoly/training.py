@@ -27,6 +27,7 @@ from .metrics import _check_binary, correlation_ratio
 from .model import (
     LINKS,
     LtrModel,
+    factor_views,
     forward_terms,
     hadamard_partials,
     integral,
@@ -133,7 +134,6 @@ class FitReport:
     residual_norms: list = field(default_factory=list)
     eta_squared: list = None
     seconds: list = field(default_factory=list)
-    final_lambda: np.ndarray = None
 
 
 def _raw_loss(P, lam, Q, views, Y, offset, C_p, C_q, link):
@@ -164,8 +164,8 @@ def _raw_gradients(P, lam, Q, views, Y, offset, C_p, C_q, link, train_q=True):
     parts = hadamard_partials(Z)
     weighted = EQt * lam
     g_P = []
-    for d in range(n_d):
-        data_term = (parts[d] * weighted).T @ views[d]
+    for d, V in enumerate(factor_views(views, n_d)):
+        data_term = (parts[d] * weighted).T @ V
         g_P.append(-scale * data_term + (C_p / (n_t * n_d * P[d].shape[1])) * P[d])
     g_Q = -scale * (lam[:, None] * (F.T @ E)) + (C_q / (n_t * n_y)) * Q if train_q else None
     return g_lam, g_P, g_Q
@@ -248,7 +248,8 @@ def _fit_block(views, Y, offset, n_t, config, rng, phase):
     m, n_y = Y.shape
     if m == 0:
         raise ValueError("empty dataset")
-    P = [rng.standard_normal((n_t, V.shape[1])) / np.sqrt(V.shape[1]) for V in views]
+    P = [rng.standard_normal((n_t, V.shape[1])) / np.sqrt(V.shape[1])
+         for V in factor_views(views, config.n_d)]
     lam = np.ones(n_t)
     train_q = n_y > 1
     Q = rng.standard_normal((n_t, n_y)) / np.sqrt(n_y) if train_q else np.ones((n_t, 1))
@@ -329,5 +330,4 @@ def fit(dataset, config):
         homogenized=config.homogenize,
         link=config.link,
     )
-    report.final_lambda = model.lam.copy()
     return model, report

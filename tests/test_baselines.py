@@ -146,6 +146,7 @@ class TestKrr:
         X = rng.standard_normal((8, 3))
         y = rng.standard_normal(8)
         model = krr_fit(Dataset(views=[X], Y=y), b=1.0, n_d=2, ridge=0.0)
+        assert model.X_train is not None  # the dual path: 10 features against 8 rows
         assert rmse(y, krr_predict(model, X)) < 1e-8
 
     def test_duplicate_rows_need_ridge(self):

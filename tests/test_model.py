@@ -72,22 +72,24 @@ class TestHomogenize:
 
     def test_shared_view_is_homogenized_once(self, monkeypatch):
         import tensorpoly.model as tmodel
-        distinct_views = []  # per z_factors call; each distinct view is one product
-        exact = tmodel.z_factors
+        projected, ones_columns = [], []  # views per z_factors call (one product each)
+        exact_z, exact_h = tmodel.z_factors, tmodel.homogenize
 
-        def spy(P, views):
-            distinct_views.append(len({id(V) for V in views}))
-            return exact(P, views)
+        def spy_z(P, views):
+            projected.append(len(views))
+            return exact_z(P, views)
 
-        monkeypatch.setattr(tmodel, "z_factors", spy)
+        monkeypatch.setattr(tmodel, "z_factors", spy_z)
+        monkeypatch.setattr(tmodel, "homogenize", lambda X: ones_columns.append(X.shape) or exact_h(X))
         rng = np.random.default_rng(12)
         X = rng.standard_normal((60, 2))
         cfg = TrainConfig(n_d=3, n_t=2, epochs=2, batch_size=20, mode="joint", homogenize=True)
-        model, _ = fit(Dataset(views=[X, X, X], Y=rng.standard_normal(60)), cfg)
-        assert distinct_views and set(distinct_views) == {1}
-        distinct_views.clear()
-        predict(model, [X, X, X])
-        assert distinct_views == [1]
+        model, _ = fit(Dataset(views=[X], Y=rng.standard_normal(60)), cfg)
+        assert projected and set(projected) == {1} and ones_columns == [(60, 2)]
+        projected.clear()
+        ones_columns.clear()
+        predict(model, [X])
+        assert projected == [1] and ones_columns == [(60, 2)]
 
     def test_surplus_view_rejected(self):
         model = LtrModel(P=[np.ones((1, 3)), np.ones((1, 2))], Q=np.ones((1, 1)), lam=[1.0],
@@ -355,18 +357,20 @@ class TestTake:
     def test_shared_view_is_taken_once(self):
         X = np.arange(12.0).reshape(6, 2)
         idx = np.array([4, 1, 2])
-        shared = Dataset(views=[X, X, X], Y=np.zeros(6)).take(idx)
-        assert shared.views[0] is shared.views[1] is shared.views[2]
+        shared = Dataset(views=[X], Y=np.zeros(6)).take(idx)
+        assert len(shared.views) == 1 and np.array_equal(shared.views[0], X[idx])
+        assert len(take_rows(resolve_views([X], 3), idx)) == 1
         mixed = Dataset(views=[X, -X, X], Y=np.zeros(6)).take(idx)
-        assert mixed.views[0] is mixed.views[2]
+        assert len(mixed.views) == 3
         assert mixed.views[1] is not mixed.views[0]
+        assert np.array_equal(mixed.views[2], X[idx])
         assert np.array_equal(mixed.views[0], X[idx])
         assert np.array_equal(mixed.views[1], -X[idx])
 
 
 class TestLayout:
-    """Views and batches are C-contiguous whatever the input's layout, and a
-    shared view stays one object through conversion."""
+    """Views and batches are C-contiguous whatever the input's layout, and the
+    one view of a single-view list is converted once for all factors."""
 
     INPUTS = {"fortran": np.asfortranarray, "row-strided": lambda X: X[::2]}
 
@@ -375,9 +379,10 @@ class TestLayout:
         X = self.INPUTS[layout](np.arange(48.0).reshape(12, 4))
         idx = np.array([3, 0, 5])
         views = resolve_views([X], 3)
-        assert views[0] is views[1] is views[2] and views[0].flags.c_contiguous
+        assert len(views) == 1 and views[0].flags.c_contiguous
         assert np.array_equal(views[0], X)
         for batch in (take_rows(views, idx), take_rows([X], idx)):
+            assert len(batch) == 1
             assert batch[0].flags.c_contiguous and np.array_equal(batch[0], X[idx])
 
     def test_c_order_view_is_not_copied(self):
@@ -387,16 +392,22 @@ class TestLayout:
 
     def test_shared_fortran_view_is_converted_once(self):
         Xf = np.asfortranarray(np.arange(12.0).reshape(6, 2))
-        views = Dataset(views=[Xf, Xf, Xf], Y=np.zeros(6)).views
-        assert views[0] is views[1] is views[2]
+        views = Dataset(views=[Xf], Y=np.zeros(6)).views
+        assert len(views) == 1
         assert views[0].flags.c_contiguous and np.array_equal(views[0], Xf)
+        # fit resolves the dataset's views for its factors: the converted view is not copied
+        again = resolve_views(views, 3)
+        assert len(again) == 1 and again[0] is views[0]
 
     def test_shared_view_is_finite_checked_once(self, monkeypatch):
         calls = []
         real_isfinite = np.isfinite
         monkeypatch.setattr(np, "isfinite", lambda A: calls.append(A.shape) or real_isfinite(A))
-        Dataset(views=[np.zeros((6, 2))] * 3, Y=np.zeros(6))
+        Dataset(views=[np.zeros((6, 2))], Y=np.zeros(6))
         assert calls == [(6, 2), (6, 1)]
+        calls.clear()
+        resolve_views([np.zeros((6, 2))], 3)
+        assert calls == [(6, 2)]
 
 
 class TestValidation:
