@@ -5,6 +5,8 @@ factorization-machine form only fits the symmetric ones, while kernel
 ridge regression and the rank-one-term model handle every case.
 """
 
+import numpy as np
+
 from tensorpoly import TrainConfig, cross_validate, quadratics_dataset
 from tensorpoly.benchmark import fm_learner, krr_learner, linreg_learner, ltr_learner
 
@@ -18,8 +20,8 @@ ltr_cfg = TrainConfig(
 
 learners = {
     "LR": linreg_learner(),
-    "KRR": krr_learner(b=1.0, n_d=2, ridge=1e-8),
-    "FM": fm_learner(n_d=2, n_t=2, steps=200, learning_rate=0.05, restarts=2),
+    "KRR": krr_learner(n_d=2, ridge=1e-8),
+    "FM": fm_learner(n_d=2, n_t=2, steps=200, restarts=2),
     "LTR": ltr_learner(ltr_cfg),
 }
 
@@ -30,7 +32,7 @@ for fn, label in (("xy", "x*y"), ("sq_diff", "(x-y)^2"), ("diff_sq", "x^2-y^2"))
     cells = []
     for learner in learners.values():
         res = cross_validate(dataset, learner, FOLDS, seed=5)
-        cells.append(f"{res.mean_pearson:+.2f} ({res.mean_rmse:.2f})")
+        cells.append(f"{np.mean(res.fold_pearson):+.2f} ({np.mean(res.fold_rmse):.2f})")
     print(f"{label:12s}" + "".join(f"{c:>16s}" for c in cells))
 
 print("\nNote the FM column: perfect on the symmetric x*y, near zero on")

@@ -10,12 +10,13 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .gradcheck import central_difference
-from .model import homogenize, integral, real
+from .model import homogenize, integral
 
 # krr_fit holds m*D + D^2 floats on its primal path (1.4 MB at 2,000 x 6, degree 3) and
 # 16*m^2 bytes on its dual path, the m x m kernel and np.linalg.solve's copy of it:
 # 64 MB at 2,000 rows, 6.4 GB at this cap
 KRR_SIZE_CAP = 20_000
+KRR_BIAS = 1.0  # the b of krr_fit's poly_kernel and poly_features
 POWER_BLOCK = 1 << 15  # kernel entries raised to n_d per block of rows
 PREDICT_BLOCK = 1 << 18  # basis entries per block of rows in krr_predict
 
@@ -67,18 +68,17 @@ class KrrModel:
     path), else those of `poly_kernel` against ``X_train`` (the dual path)."""
     X_train: np.ndarray | None
     coef: np.ndarray
-    b: float
     n_d: int
 
     def basis(self, X):
         """The columns that ``coef`` weighs, at the rows of ``X``."""
         if self.X_train is None:
-            return poly_features(X, self.b, self.n_d)
-        return poly_kernel(X, self.X_train, self.b, self.n_d)
+            return poly_features(X, KRR_BIAS, self.n_d)
+        return poly_kernel(X, self.X_train, KRR_BIAS, self.n_d)
 
 
-def krr_fit(dataset, b=1.0, n_d=2, ridge=1e-8):
-    """Kernel ridge regression with `poly_kernel`; scalar outputs only.
+def krr_fit(dataset, n_d=2, ridge=1e-8):
+    """Kernel ridge regression with `poly_kernel` at b = KRR_BIAS; scalar outputs only.
 
     Primal and dual ridge regression give one model (Saunders, Gammerman & Vovk, 1998),
     so this solves the smaller system: ``(Phi^T Phi + ridge*I) w = Phi^T y`` on the
@@ -87,7 +87,6 @@ def krr_fit(dataset, b=1.0, n_d=2, ridge=1e-8):
     """
     if dataset.n_y != 1:
         raise ValueError("KRR baseline is scalar-output")
-    b = real("b", b, 0)  # poly_features takes sqrt(b)
     n_d = integral("n_d", n_d, 1)
     X = dataset.X
     m, n = X.shape
@@ -95,16 +94,16 @@ def krr_fit(dataset, b=1.0, n_d=2, ridge=1e-8):
         raise ValueError(f"m={m} exceeds the dense-solve cap {KRR_SIZE_CAP}")
     y = dataset.Y[:, 0]
     if math.comb(n + n_d, n_d) <= m:
-        Phi = poly_features(X, b, n_d)
+        Phi = poly_features(X, KRR_BIAS, n_d)
         A, rhs, X_train = Phi.T @ Phi, Phi.T @ y, None
     else:
-        A, rhs, X_train = poly_kernel(X, X, b, n_d), y, X
+        A, rhs, X_train = poly_kernel(X, X, KRR_BIAS, n_d), y, X
     A.flat[:: A.shape[0] + 1] += ridge  # the diagonal, in place
     try:
         coef = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"kernel system is singular: {exc}") from exc
-    return KrrModel(X_train=X_train, coef=coef, b=b, n_d=n_d)
+    return KrrModel(X_train=X_train, coef=coef, n_d=n_d)
 
 
 def krr_predict(model, X):
@@ -171,12 +170,12 @@ def fm_forward(X, P, n_d):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def fm_fit_gd(X, y, n_d, n_t, steps=300, learning_rate=0.05, restarts=3, seed=0):
-    """Fit the FM parameter matrix by plain gradient descent.
+def fm_fit_gd(X, y, n_d, n_t, steps=300, restarts=3):
+    """Fit the FM parameter matrix by plain gradient descent at rate 0.05.
 
     Central-difference gradients of the mean squared error drive the
-    descent (no FM-specific training machinery); the best of a few seeded
-    restarts by training MSE is returned. Used for baseline comparisons.
+    descent (no FM-specific training machinery); restart ``r`` starts from
+    ``default_rng(r)``, and the best restart by training MSE is returned.
     A diverging restart overflows silently and is skipped by the MSE check.
     """
     X = np.asarray(X, dtype=float)
@@ -184,10 +183,10 @@ def fm_fit_gd(X, y, n_d, n_t, steps=300, learning_rate=0.05, restarts=3, seed=0)
     m = X.shape[0]
     best_P, best_mse = None, np.inf
     for r in range(restarts):
-        rng = np.random.default_rng(seed + r)
+        rng = np.random.default_rng(r)
         P = rng.standard_normal((n_t, X.shape[1])) / np.sqrt(X.shape[1])
         for _ in range(steps):
-            P -= learning_rate * central_difference(
+            P -= 0.05 * central_difference(
                 lambda: np.sum((y - fm_forward(X, P, n_d)) ** 2) / m, P, 1e-6
             )
         mse = float(np.mean((y - fm_forward(X, P, n_d)) ** 2))

@@ -40,7 +40,7 @@ def ltr_learner(config):
 
 
 def krr_learner(**options):
-    """Learner closure over `baselines.krr_fit`'s keywords (``b``, ``n_d``, ``ridge``)."""
+    """Learner closure over `baselines.krr_fit`'s keywords (``n_d``, ``ridge``)."""
     def learn(train):
         model = baselines.krr_fit(train, **options)
         return lambda test: baselines.krr_predict(model, test.X)
@@ -57,8 +57,7 @@ def linreg_learner():
 
 
 def fm_learner(n_d, n_t, **options):
-    """Learner closure over `baselines.fm_fit_gd`'s keywords (``steps``,
-    ``learning_rate``, ``restarts``, ``seed``)."""
+    """Learner closure over `baselines.fm_fit_gd`'s keywords (``steps``, ``restarts``)."""
     def learn(train):
         P = baselines.fm_fit_gd(train.X, train.Y[:, 0], n_d=n_d, n_t=n_t, **options)
         return lambda test: baselines.fm_forward(test.X, P, n_d)

@@ -39,10 +39,6 @@ def numeric_gradients(model, dataset, config):
     return g_lam, g_P, g_Q
 
 
-def max_relative_error(analytic, numeric):
-    return _worst_entry(analytic, numeric)[0]
-
-
 def _worst_entry(analytic, numeric):
     a = np.asarray(analytic, dtype=float)
     f = np.asarray(numeric, dtype=float)

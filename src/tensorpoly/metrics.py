@@ -138,8 +138,6 @@ def make_cv_plan(m, folds, seed=0):
 class CvResult:
     fold_pearson: list
     fold_rmse: list
-    mean_pearson: float
-    mean_rmse: float
     fit_seconds: list
 
 
@@ -153,10 +151,11 @@ def cross_validate(dataset, learner, folds, seed=0):
     """K-fold CV of a learner.
 
     ``learner`` takes a training Dataset and returns a predictor mapping
-    a held-out Dataset to predictions of shape (m, n_y). Pearson and
-    RMSE are averaged over output columns within each fold, and each
-    fold's ``learner(train)`` call is timed; learner failures are
-    re-raised annotated with the fold index.
+    a held-out Dataset to predictions of shape (m, n_y), or (m,) when
+    n_y is 1. Pearson and RMSE are averaged over output columns within
+    each fold, and each fold's ``learner(train)`` call is timed; learner
+    failures and predictions of any other shape are raised as a
+    RuntimeError that names the fold.
     """
     assignment = make_cv_plan(dataset.m, folds, seed)
     fold_p, fold_r, fit_seconds = [], [], []
@@ -172,13 +171,10 @@ def cross_validate(dataset, learner, folds, seed=0):
             raise RuntimeError(f"learner failed on fold {f}: {exc}") from exc
         if yhat.ndim == 1:
             yhat = yhat.reshape(-1, 1)
+        if yhat.shape != test.Y.shape:
+            raise RuntimeError(f"learner failed on fold {f}: predictions have shape "
+                               f"{yhat.shape}, expected {test.Y.shape}")
         p, r = column_scores(test.Y, yhat)
         fold_p.append(p)
         fold_r.append(r)
-    return CvResult(
-        fold_pearson=fold_p,
-        fold_rmse=fold_r,
-        mean_pearson=float(np.mean(fold_p)),
-        mean_rmse=float(np.mean(fold_r)),
-        fit_seconds=fit_seconds,
-    )
+    return CvResult(fold_pearson=fold_p, fold_rmse=fold_r, fit_seconds=fit_seconds)

@@ -194,9 +194,9 @@ def resolve_views(views, n_d, dims=None, homogenized=False):
 
     A bare matrix or a 1-element list is one view that every factor reads, a
     list of ``n_d`` matrices one view per factor, whatever objects they are.
-    Each entry is converted, checked to be finite and, with ``homogenized``,
-    given its trailing 1 column once. All views share one row count; with
-    ``dims``, each factor's view has that factor's width, less 1 if homogenized.
+    Each entry is converted and checked to be finite once, then, with ``homogenized``,
+    given its trailing 1 column. All views share one row count; with ``dims``, each
+    factor's view has that factor's width, less 1 if homogenized.
     """
     if isinstance(views, np.ndarray):
         views = [views]
@@ -210,7 +210,7 @@ def resolve_views(views, n_d, dims=None, homogenized=False):
         if raw is not None and V.shape[1] != raw[d]:
             raise ValueError(f"view {d} has {V.shape[1]} columns, factor expects {raw[d]}")
     if homogenized:
-        views = [homogenize(V) for V in views]
+        views = [np.hstack([V, np.ones((V.shape[0], 1))]) for V in views]
     return views
 
 
@@ -268,14 +268,11 @@ def forward_terms(P, lam, Q, views):
 
 
 def sigmoid(u):
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function: ``1 / (1 + e^-u)`` for u >= 0 and
+    ``e^u / (1 + e^u)`` otherwise, so ``exp`` only sees ``-|u|`` and cannot overflow."""
     u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    eu = np.exp(u[~pos])
-    out[~pos] = eu / (1.0 + eu)
-    return out
+    e = np.exp(-np.abs(u))
+    return np.where(u >= 0, 1.0, e) / (1.0 + e)
 
 
 # link -> (mean of a pre-link output U, summed data loss of Y at U; logistic: stable NLL)

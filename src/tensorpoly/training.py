@@ -230,7 +230,6 @@ def adam_step(
     for theta in (lam, *P, Q):
         theta -= step[start:start + theta.size].reshape(theta.shape)
         start += theta.size
-    return params, state
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -61,26 +61,25 @@ def test_criterion_1_quadratics_reproduction():
 
         for fn in functions:
             res = cross_validate(datasets[fn], ltr_learner(QUADRATICS_LTR), 5, seed=5)
-            assert res.mean_pearson >= 0.99, f"LTR pearson on {fn}: {res.mean_pearson}"
-            assert res.mean_rmse <= 0.15, f"LTR rmse on {fn}: {res.mean_rmse}"
+            pearson, rmse = np.mean(res.fold_pearson), np.mean(res.fold_rmse)
+            assert pearson >= 0.99, f"LTR pearson on {fn}: {pearson}"
+            assert rmse <= 0.15, f"LTR rmse on {fn}: {rmse}"
 
         for fn in functions:
-            res = cross_validate(
-                datasets[fn], krr_learner(b=1.0, n_d=2, ridge=1e-8), 5, seed=5
-            )
-            assert res.mean_pearson >= 0.99, f"KRR pearson on {fn}: {res.mean_pearson}"
+            res = cross_validate(datasets[fn], krr_learner(n_d=2, ridge=1e-8), 5, seed=5)
+            pearson = np.mean(res.fold_pearson)
+            assert pearson >= 0.99, f"KRR pearson on {fn}: {pearson}"
 
         for fn in ("xy", "diff_sq"):
             res = cross_validate(datasets[fn], linreg_learner(), 5, seed=5)
-            assert abs(res.mean_pearson) <= 0.2, f"LR pearson on {fn}: {res.mean_pearson}"
+            pearson = np.mean(res.fold_pearson)
+            assert abs(pearson) <= 0.2, f"LR pearson on {fn}: {pearson}"
 
-        fm = fm_learner(n_d=2, n_t=2, steps=200, learning_rate=0.05, restarts=2, seed=0)
-        res_xy = cross_validate(datasets["xy"], fm, 5, seed=5)
-        res_anti = cross_validate(datasets["diff_sq"], fm, 5, seed=5)
-        assert res_xy.mean_pearson >= 0.95, f"FM pearson on xy: {res_xy.mean_pearson}"
-        assert abs(res_anti.mean_pearson) <= 0.3, (
-            f"FM pearson on diff_sq: {res_anti.mean_pearson}"
-        )
+        fm = fm_learner(n_d=2, n_t=2, steps=200, restarts=2)
+        pearson_xy = np.mean(cross_validate(datasets["xy"], fm, 5, seed=5).fold_pearson)
+        pearson_anti = np.mean(cross_validate(datasets["diff_sq"], fm, 5, seed=5).fold_pearson)
+        assert pearson_xy >= 0.95, f"FM pearson on xy: {pearson_xy}"
+        assert abs(pearson_anti) <= 0.3, f"FM pearson on diff_sq: {pearson_anti}"
 
 
 def test_criterion_2_gradient_check_cli():
@@ -128,7 +127,8 @@ def test_criterion_4_deflation_monotonicity():
 
         for cfg in (cfg_rank, cfg_layer):
             res = cross_validate(dataset, ltr_learner(cfg), 2, seed=17)
-            assert res.mean_pearson >= 0.95, f"{cfg.mode}: {res.mean_pearson}"
+            pearson = np.mean(res.fold_pearson)
+            assert pearson >= 0.95, f"{cfg.mode}: {pearson}"
 
 
 def _timed_fit(dataset, n_d, n_t, repeats=3):
@@ -185,7 +185,7 @@ def test_criterion_6_noise_degradation():
         for noise in (0.0, 0.25, 0.5, 1.0):
             dataset = sample_dataset(true_model, 100_000, noise, seed=33)
             res = cross_validate(dataset, ltr_learner(cfg), 2, seed=7)
-            pearsons.append(res.mean_pearson)
+            pearsons.append(np.mean(res.fold_pearson))
         assert pearsons[0] >= 0.99, f"noise-free pearson {pearsons[0]}"
         for a, b in zip(pearsons, pearsons[1:]):
             assert b <= a + 0.02, f"sequence not monotone: {pearsons}"

@@ -145,7 +145,7 @@ class TestKrr:
         rng = np.random.default_rng(7)
         X = rng.standard_normal((8, 3))
         y = rng.standard_normal(8)
-        model = krr_fit(Dataset(views=[X], Y=y), b=1.0, n_d=2, ridge=0.0)
+        model = krr_fit(Dataset(views=[X], Y=y), n_d=2, ridge=0.0)
         assert model.X_train is not None  # the dual path: 10 features against 8 rows
         assert rmse(y, krr_predict(model, X)) < 1e-8
 
@@ -154,7 +154,7 @@ class TestKrr:
         X = rng.standard_normal((10, 2))
         X[5] = X[0]
         y = rng.standard_normal(10)
-        model = krr_fit(Dataset(views=[X], Y=y), b=1.0, n_d=2, ridge=1e-6)
+        model = krr_fit(Dataset(views=[X], Y=y), n_d=2, ridge=1e-6)
         assert np.all(np.isfinite(krr_predict(model, X)))
 
     def test_size_cap(self):
@@ -167,14 +167,14 @@ class TestKrr:
         # so the fit takes the dual path and predict builds the kernel
         rng = np.random.default_rng(24)
         X = rng.standard_normal((1000, 20))
-        model = krr_fit(Dataset(views=[X], Y=rng.standard_normal(1000)), b=1.0, n_d=3, ridge=1e-3)
+        model = krr_fit(Dataset(views=[X], Y=rng.standard_normal(1000)), n_d=3, ridge=1e-3)
         assert model.X_train is X
         return model, rng.standard_normal((m_test, 20))
 
     def test_predict_matches_the_whole_kernel(self):
         # 1000 training rows make blocks of 262 test rows: three blocks, the last one partial
         model, X = self._model(600)
-        K = poly_kernel(X, model.X_train, model.b, model.n_d)
+        K = poly_kernel(X, model.X_train, 1.0, model.n_d)
         scale = np.abs(K) @ np.abs(model.coef)
         assert np.all(np.abs(krr_predict(model, X) - K @ model.coef) <= 1e-13 * scale)
 
@@ -194,7 +194,7 @@ class TestKrr:
         X, X_test = rng.standard_normal((1000, 6)), rng.standard_normal((500, 6))
         y = rng.standard_normal(1000)
         for n_d in (1, 2, 3):
-            model = krr_fit(Dataset(views=[X], Y=y), b=1.0, n_d=n_d, ridge=1e-3)
+            model = krr_fit(Dataset(views=[X], Y=y), n_d=n_d, ridge=1e-3)
             assert model.X_train is None
             K = poly_kernel(X, X, 1.0, n_d) + 1e-3 * np.eye(1000)
             alpha = np.linalg.solve(K, y)
@@ -216,21 +216,15 @@ class TestKrr:
         ds = Dataset(views=[X], Y=rng.standard_normal(2000))
         tracemalloc.start()
         try:
-            krr_predict(krr_fit(ds, b=1.0, n_d=3), X_test)
+            krr_predict(krr_fit(ds, n_d=3), X_test)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4e6
 
-    @pytest.mark.parametrize("b", [-1.0, np.inf, True])
-    def test_bias_must_be_a_nonnegative_real(self, b):
-        ds = Dataset(views=[np.ones((3, 2))], Y=np.ones(3))
-        with pytest.raises(ValueError, match="b must be"):
-            krr_fit(ds, b=b)
-
     def test_fits_quadratics(self):
         ds = quadratics_dataset("sq_diff", 400, seed=4)
-        model = krr_fit(Dataset(views=[ds.X[:300]], Y=ds.Y[:300]), b=1.0, n_d=2, ridge=1e-8)
+        model = krr_fit(Dataset(views=[ds.X[:300]], Y=ds.Y[:300]), n_d=2, ridge=1e-8)
         yhat = krr_predict(model, ds.X[300:])
         assert pearson(ds.Y[300:, 0], yhat) >= 0.99
 
@@ -338,7 +332,7 @@ class TestFmGradientDescent:
         for fn in ("xy", "diff_sq"):
             ds = quadratics_dataset(fn, 400, seed=2)
             P = fm_fit_gd(ds.X[:200], ds.Y[:200, 0], n_d=2, n_t=2,
-                          steps=150, learning_rate=0.05, restarts=2, seed=0)
+                          steps=150, restarts=2)
             results[fn] = pearson(ds.Y[200:, 0], fm_forward(ds.X[200:], P, 2))
         assert results["xy"] >= 0.95
         assert abs(results["diff_sq"]) <= 0.3

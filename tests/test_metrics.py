@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import warnings
 
@@ -208,8 +209,8 @@ class TestCrossValidation:
             return lambda test: (test.X**2).sum(axis=1)
 
         res = cross_validate(ds, learner, 4, seed=0)
-        assert res.mean_pearson == pytest.approx(1.0)
-        assert res.mean_rmse == pytest.approx(0.0, abs=1e-14)
+        assert np.mean(res.fold_pearson) == pytest.approx(1.0)
+        assert np.mean(res.fold_rmse) == pytest.approx(0.0, abs=1e-14)
 
     def test_fit_seconds_one_per_fold(self):
         rng = np.random.default_rng(5)
@@ -232,6 +233,18 @@ class TestCrossValidation:
 
         with pytest.raises(RuntimeError, match="fold 0"):
             cross_validate(ds, learner, 2, seed=0)
+
+    @pytest.mark.parametrize("n_y, predictor, shape", [
+        (1, lambda test: np.hstack([test.Y] * 3), "(10, 3), expected (10, 1)"),
+        (2, lambda test: test.Y[:, 0], "(10, 1), expected (10, 2)"),
+        (1, lambda test: test.Y[1:], "(9, 1), expected (10, 1)"),
+    ], ids=["wide", "narrow", "short"])
+    def test_predictions_of_another_shape_are_refused(self, n_y, predictor, shape):
+        rng = np.random.default_rng(6)
+        ds = Dataset(views=[rng.standard_normal((20, 2))], Y=rng.standard_normal((20, n_y)))
+        message = f"learner failed on fold 0: predictions have shape {shape}"
+        with pytest.raises(RuntimeError, match=re.escape(message)):
+            cross_validate(ds, lambda train: predictor, 2, seed=0)
 
 
 class TestAccuracy:

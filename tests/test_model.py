@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from tensorpoly.model import (
     hadamard_partials,
     homogenize,
     resolve_views,
+    sigmoid,
     take_rows,
     z_factors,
 )
@@ -73,14 +75,21 @@ class TestHomogenize:
     def test_shared_view_is_homogenized_once(self, monkeypatch):
         import tensorpoly.model as tmodel
         projected, ones_columns = [], []  # views per z_factors call (one product each)
-        exact_z, exact_h = tmodel.z_factors, tmodel.homogenize
+        exact_z, exact_hstack = tmodel.z_factors, np.hstack
 
         def spy_z(P, views):
             projected.append(len(views))
             return exact_z(P, views)
 
+        def spy_hstack(arrays, **kwargs):
+            # a ones column appended to a view; _fit_block's [Y, offset] ends in zeros
+            last = np.asarray(arrays[-1])
+            if last.ndim == 2 and last.shape[1] == 1 and np.all(last == 1.0):
+                ones_columns.append(np.shape(arrays[0]))
+            return exact_hstack(arrays, **kwargs)
+
         monkeypatch.setattr(tmodel, "z_factors", spy_z)
-        monkeypatch.setattr(tmodel, "homogenize", lambda X: ones_columns.append(X.shape) or exact_h(X))
+        monkeypatch.setattr(np, "hstack", spy_hstack)
         rng = np.random.default_rng(12)
         X = rng.standard_normal((60, 2))
         cfg = TrainConfig(n_d=3, n_t=2, epochs=2, batch_size=20, mode="joint", homogenize=True)
@@ -91,11 +100,56 @@ class TestHomogenize:
         predict(model, [X])
         assert projected == [1] and ones_columns == [(60, 2)]
 
+    def test_each_view_is_checked_once(self, monkeypatch):
+        checked = []  # shapes of the m-row arrays np.isfinite sees
+        exact = np.isfinite
+
+        def spy(x, *args, **kwargs):
+            if np.ndim(x) == 2 and np.shape(x)[0] == 60:
+                checked.append(np.shape(x))
+            return exact(x, *args, **kwargs)
+
+        rng = np.random.default_rng(13)
+        X = rng.standard_normal((60, 2))
+        ds = Dataset(views=[X], Y=rng.standard_normal(60))
+        cfg = TrainConfig(n_d=3, n_t=2, epochs=1, batch_size=20, mode="joint", homogenize=True)
+        monkeypatch.setattr(np, "isfinite", spy)
+        resolve_views([X], 3, homogenized=True)
+        assert checked == [(60, 2)]
+        checked.clear()
+        model, _ = fit(ds, cfg)
+        assert checked == [(60, 2)]
+        checked.clear()
+        predict(model, X)
+        assert checked == [(60, 2)]
+
     def test_surplus_view_rejected(self):
         model = LtrModel(P=[np.ones((1, 3)), np.ones((1, 2))], Q=np.ones((1, 1)), lam=[1.0],
                          homogenized=True)
         with pytest.raises(ValueError, match="expected 1 or 2 views, got 3"):
             predict(model, [np.ones((4, 2)), np.ones((4, 1)), np.ones((4, 5))])
+
+
+class TestSigmoid:
+    @staticmethod
+    def masked(u):
+        # the two-formula form: 1 / (1 + e^-u) on u >= 0, e^u / (1 + e^u) elsewhere
+        u = np.asarray(u, dtype=float)
+        out = np.empty_like(u)
+        pos = u >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
+        eu = np.exp(u[~pos])
+        out[~pos] = eu / (1.0 + eu)
+        return out
+
+    def test_matches_the_two_formula_form_without_warnings(self):
+        edges = [0.0, 1e-300, 30.0, 710.0, 1e3, np.inf]
+        u = np.concatenate([edges, np.negative(edges), [np.nan],
+                            50.0 * np.random.default_rng(14).standard_normal(10_000)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sigmoid(u)
+        assert np.array_equal(out, self.masked(u), equal_nan=True)
 
 
 class TestForwardScalar:
