@@ -10,7 +10,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .gradcheck import central_difference
-from .model import homogenize, integral
+from .model import checked_views, integral, resolve_views
 
 # krr_fit holds m*D + D^2 floats on its primal path (1.4 MB at 2,000 x 6, degree 3) and
 # 16*m^2 bytes on its dual path, the m x m kernel and np.linalg.solve's copy of it:
@@ -121,13 +121,13 @@ def linreg_fit(dataset):
     """Least-squares weights on homogenized inputs (tiny ridge for safety)."""
     if dataset.n_y != 1:
         raise ValueError("linear baseline is scalar-output")
-    A = homogenize(dataset.X)
+    A = resolve_views([dataset.X], 1, homogenized=True)[0]
     G = A.T @ A + 1e-10 * np.eye(A.shape[1])
     return np.linalg.solve(G, A.T @ dataset.Y[:, 0])
 
 
 def linreg_predict(weights, X):
-    return homogenize(np.asarray(X, dtype=float)) @ weights
+    return resolve_views(checked_views(X), 1, homogenized=True)[0] @ weights
 
 
 def anova_terms(X, P, n_d):

@@ -37,12 +37,14 @@ def generate_model(spec):
 
 
 def sample_dataset(model, m, noise_level=0.0, seed=0):
-    """Draw standard-normal inputs and (optionally noisy) outputs.
+    """Draw standard-normal inputs and (optionally noisy) outputs of a plain identity-link model.
 
     The noise is zero-mean Gaussian with standard deviation equal to the
     empirical std of the noiseless values on this sample, times
     ``noise_level``.
     """
+    if model.homogenized or model.link != "identity":
+        raise ValueError("sample_dataset draws from plain identity-link models")
     m = integral("m", m)
     real("noise_level", noise_level, 0)
     rng = np.random.default_rng(seed)

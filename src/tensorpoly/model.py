@@ -12,6 +12,7 @@ In the multi-view case each factor ``d`` consumes its own input matrix.
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -61,16 +62,6 @@ def one_of(name, value, table):
     if not isinstance(value, (str, bool, np.bool_)) or value not in table:
         raise ValueError(f"{name} must be one of {tuple(table)}, got {value!r}")
     return value
-
-
-def homogenize(X):
-    """Append a constant-1 column to ``X``.
-
-    Lets a model of degree ``n_d`` represent inhomogeneous polynomials up
-    to that degree while staying homogeneous in the augmented input.
-    """
-    A = _finite_matrix(X, "X")
-    return np.hstack([A, np.ones((A.shape[0], 1))])
 
 
 @dataclass
@@ -143,21 +134,25 @@ class LtrModel:
 class Dataset:
     """Input views plus outputs, rows are examples.
 
-    ``views`` holds one matrix read by every factor (single-view) or one
-    matrix per factor (multi-view), each its own view whatever object it
-    is; all share the same row count as ``Y``.
+    ``views`` holds one matrix read by every factor (single-view) or one matrix per
+    factor (multi-view), each its own view whatever object it is; all share ``Y``'s row
+    count, at least 1. Checked once, here; `fit`, `loss`, `gradients` and `take` trust them.
     """
 
     views: list
     Y: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.views, (list, tuple)) or len(self.views) == 0:
-            raise ValueError("views must be a non-empty list of matrices")
-        self.views = resolve_views(self.views, len(self.views))
+        self.views = checked_views(self.views)
         self.Y = _finite_matrix(self.Y, "Y", column=True)
         if self.m != self.views[0].shape[0]:
             raise ValueError(f"Y has {self.m} rows, expected {self.views[0].shape[0]}")
+        self._nonempty()
+
+    def _nonempty(self):
+        if self.m == 0:
+            raise ValueError("empty dataset")
+        return self
 
     @property
     def m(self):
@@ -175,8 +170,10 @@ class Dataset:
         return self.views[0]
 
     def take(self, idx):
-        """Row-subset dataset; serves the cross-validation folds."""
-        return Dataset(views=take_rows(self.views, idx), Y=np.take(self.Y, idx, axis=0))
+        """Rows ``idx``, C-order and not checked again; serves the cross-validation folds."""
+        part = copy.copy(self)
+        part.views, part.Y = take_rows(self.views, idx), np.take(self.Y, idx, axis=0)
+        return part._nonempty()
 
 
 def factor_views(views, n_d):
@@ -189,24 +186,29 @@ def take_rows(views, idx):
     return [np.take(V, idx, axis=0) for V in views]
 
 
-def resolve_views(views, n_d, dims=None, homogenized=False):
-    """Check ``views`` for ``n_d`` factors; a list of 1 or ``n_d`` C-order views.
-
-    A bare matrix or a 1-element list is one view that every factor reads, a
-    list of ``n_d`` matrices one view per factor, whatever objects they are.
-    Each entry is converted and checked to be finite once, then, with ``homogenized``,
-    given its trailing 1 column. All views share one row count; with ``dims``, each
-    factor's view has that factor's width, less 1 if homogenized.
-    """
+def checked_views(views):
+    """The input rule: a bare matrix or a non-empty list or tuple of matrices as a list
+    of finite C-order float arrays of one row count (C-order float input as is)."""
     if isinstance(views, np.ndarray):
         views = [views]
-    if len(views) not in (1, n_d):
-        raise ValueError(f"expected 1 or {n_d} views, got {len(views)}")
+    if not isinstance(views, (list, tuple)) or not views:
+        raise ValueError("views must be a non-empty list of matrices")
     views = [_finite_matrix(V, f"views[{d}]") for d, V in enumerate(views)]
-    raw = [width - 1 for width in dims] if dims is not None and homogenized else dims
-    for d, V in enumerate(factor_views(views, n_d)):
+    for d, V in enumerate(views):
         if V.shape[0] != views[0].shape[0]:
             raise ValueError(f"views[{d}] has {V.shape[0]} rows, expected {views[0].shape[0]}")
+    return views
+
+
+def resolve_views(views, n_d, dims=None, homogenized=False):
+    """The factor rule: checked ``views`` (`checked_views`) for ``n_d`` factors, 1 view
+    that every factor reads or ``n_d``, one per factor. With ``dims``, each factor's view
+    has that factor's width, less 1 if ``homogenized``; with ``homogenized``, each entry
+    gets its trailing ones column. Nothing is converted or finite-checked here."""
+    if len(views) not in (1, n_d):
+        raise ValueError(f"expected 1 or {n_d} views, got {len(views)}")
+    raw = [width - 1 for width in dims] if dims is not None and homogenized else dims
+    for d, V in enumerate(factor_views(views, n_d)):
         if raw is not None and V.shape[1] != raw[d]:
             raise ValueError(f"view {d} has {V.shape[1]} columns, factor expects {raw[d]}")
     if homogenized:
@@ -285,11 +287,10 @@ LINKS = {
 def predict(model, views):
     """Predictions of ``model`` on a matrix or a list of views: (m, n_y), m may be 0.
 
-    The one model-level forward pass. A homogenized model takes raw
-    views and adds their ones column itself (`resolve_views`); logistic
-    models return probabilities.
+    The one model-level forward pass, on views checked as a `Dataset`'s are. A homogenized
+    model takes raw views and adds their ones column; logistic models return probabilities.
     """
-    views = resolve_views(views, model.n_d, model.dims, model.homogenized)
+    views = resolve_views(checked_views(views), model.n_d, model.dims, model.homogenized)
     _, _, raw = forward_terms(model.P, model.lam, model.Q, views)
     return LINKS[model.link][0](raw)
 

@@ -187,10 +187,8 @@ def gradients(model, batch, config):
 
 
 def _model_inputs(model, data):
-    """``(P, lam, Q, views, Y)`` of a model on a non-empty dataset with matching shapes;
-    the views are raw, as `predict` takes them, also for a homogenized model."""
-    if data.m == 0:
-        raise ValueError("empty dataset")
+    """``(P, lam, Q, views, Y)`` of a model on a dataset with matching shapes; the views
+    are raw, as `predict` takes them, also for a homogenized model."""
     views = resolve_views(data.views, model.n_d, model.dims, model.homogenized)
     if data.n_y != model.n_y:
         raise ValueError(f"Y has {data.n_y} columns, model expects {model.n_y}")
@@ -245,8 +243,6 @@ def _fit_block(views, Y, offset, n_t, config, rng, phase):
     warned about: the epoch-loss check raises `TrainingDivergedError`.
     """
     m, n_y = Y.shape
-    if m == 0:
-        raise ValueError("empty dataset")
     P = [rng.standard_normal((n_t, V.shape[1])) / np.sqrt(V.shape[1])
          for V in factor_views(views, config.n_d)]
     lam = np.ones(n_t)

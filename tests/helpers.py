@@ -30,3 +30,18 @@ def loop_forward(model, X):
                 prod *= float(np.dot(Pd[t], X[i]))
             out[i] += prod * model.Q[t]
     return out
+
+
+def finite_checks(monkeypatch, *rows):
+    """The shapes of the arrays with a leading dimension in ``rows`` that `np.isfinite`
+    sees from now on, in call order; parameter arrays of other sizes are left out."""
+    seen = []
+    exact = np.isfinite
+
+    def spy(x, *args, **kwargs):
+        if np.ndim(x) > 0 and np.shape(x)[0] in rows:
+            seen.append(np.shape(x))
+        return exact(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", spy)
+    return seen

@@ -30,6 +30,8 @@ from tensorpoly.io import (
 )
 from tensorpoly.metrics import pearson, rmse
 
+from helpers import finite_checks
+
 
 def write_config(path, cfg):
     with open(path, "w") as fh:
@@ -120,6 +122,15 @@ class TestTrain:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["mode"] == "rank_wise"
         assert len(report["residual_norms"]) == 3
+
+    def test_each_input_is_checked_twice(self, tmp_path, monkeypatch):
+        # the reader's check names the file, the Dataset's is the library's; fit trusts it
+        data, _, _ = self.make_data(tmp_path, m=30)
+        cfg = write_config(tmp_path / "cfg.json", self.train_config())
+        checked = finite_checks(monkeypatch, 30)
+        assert main(["train", "--config", cfg, "--data", str(data),
+                     "--out", str(tmp_path)]) == 0
+        assert checked == [(30, 2), (30, 1), (30, 2), (30, 1)]
 
     def test_rankwise_and_unit_layered_have_same_deflation_count(self, tmp_path):
         data, _, _ = self.make_data(tmp_path)

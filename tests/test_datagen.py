@@ -5,6 +5,7 @@ import pytest
 
 from tensorpoly import (
     GeneratorSpec,
+    LtrModel,
     generate_model,
     predict,
     sample_dataset,
@@ -75,6 +76,16 @@ class TestSampleDataset:
         model = generate_model(GeneratorSpec(n=3, n_d=2, n_t=2, m=10, seed=1))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             sample_dataset(model, m, noise_level)
+
+    @pytest.mark.parametrize("kind", [{"homogenized": True}, {"link": "logistic"}],
+                             ids=["homogenized", "logistic"])
+    def test_models_it_cannot_describe_are_refused(self, kind):
+        # a homogenized model's ones column would be drawn as noise; a logistic one's
+        # outputs would be pre-link values
+        model = LtrModel(P=[np.ones((1, 3))] * 2, Q=np.ones((1, 1)), lam=[1.0], **kind)
+        with pytest.raises(ValueError,
+                           match="^sample_dataset draws from plain identity-link models$"):
+            sample_dataset(model, 5)
 
     def test_homogeneous_scaling(self):
         spec = GeneratorSpec(n=3, n_d=3, n_t=2, m=5, seed=13)

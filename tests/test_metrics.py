@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from tensorpoly import Dataset, cross_validate, pearson
+from tensorpoly import Dataset, TrainConfig, cross_validate, pearson
+from tensorpoly.benchmark import ltr_learner
 from tensorpoly.metrics import (
     accuracy,
     correlation_ratio,
@@ -15,6 +16,8 @@ from tensorpoly.metrics import (
     rmse,
     top_k_binarize,
 )
+
+from helpers import finite_checks
 
 
 class TestPearson:
@@ -223,6 +226,15 @@ class TestCrossValidation:
         res = cross_validate(ds, learner, 3, seed=0)
         assert len(res.fit_seconds) == 3
         assert all(seconds >= 0.002 for seconds in res.fit_seconds)
+
+    def test_ltr_folds_check_only_the_held_out_views(self, monkeypatch):
+        # the folds are rows of a checked dataset; only predict checks its raw input
+        rng = np.random.default_rng(7)
+        ds = Dataset(views=rng.standard_normal((60, 2)), Y=rng.standard_normal(60))
+        config = TrainConfig(n_d=2, n_t=1, epochs=1, batch_size=10, mode="joint")
+        checked = finite_checks(monkeypatch, 60, 30)
+        cross_validate(ds, ltr_learner(config), 2, seed=0)
+        assert checked == [(30, 2), (30, 2)]
 
     def test_learner_failure_annotated_with_fold(self):
         rng = np.random.default_rng(4)

@@ -18,19 +18,20 @@ from tensorpoly import (
     sample_dataset,
     tensor_contract,
 )
+from tensorpoly.baselines import linreg_predict
 from tensorpoly.io import generator_spec
 from tensorpoly.metrics import rmse
 from tensorpoly.model import (
+    checked_views,
     forward_terms,
     hadamard_partials,
-    homogenize,
     resolve_views,
     sigmoid,
     take_rows,
     z_factors,
 )
 
-from helpers import loop_forward, predict_point, random_model
+from helpers import finite_checks, loop_forward, predict_point, random_model
 
 
 def unit_xy_model():
@@ -41,16 +42,17 @@ def unit_xy_model():
 
 class TestHomogenize:
     def test_appends_ones_column(self):
-        out = homogenize(np.array([[2.0, 3.0]]))
-        assert out.tolist() == [[2.0, 3.0, 1.0]]
+        out = resolve_views([np.array([[2.0, 3.0]])], 1, homogenized=True)
+        assert len(out) == 1 and out[0].tolist() == [[2.0, 3.0, 1.0]]
 
     def test_empty_matrix(self):
-        out = homogenize(np.zeros((0, 4)))
-        assert out.shape == (0, 5)
+        out = resolve_views(checked_views(np.zeros((0, 4))), 1, homogenized=True)
+        assert len(out) == 1 and out[0].shape == (0, 5)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            homogenize(np.array([[np.nan, 1.0]]))
+        # the linear baseline's homogenized input keeps the input rule
+        with pytest.raises(ValueError, match=r"^views\[0\] contains non-finite values$"):
+            linreg_predict(np.ones(3), np.array([[np.nan, 1.0]]))
 
     def test_degree2_fits_affine_function(self):
         # y = x + 1 is exactly representable after homogenization
@@ -101,25 +103,16 @@ class TestHomogenize:
         assert projected == [1] and ones_columns == [(60, 2)]
 
     def test_each_view_is_checked_once(self, monkeypatch):
-        checked = []  # shapes of the m-row arrays np.isfinite sees
-        exact = np.isfinite
-
-        def spy(x, *args, **kwargs):
-            if np.ndim(x) == 2 and np.shape(x)[0] == 60:
-                checked.append(np.shape(x))
-            return exact(x, *args, **kwargs)
-
         rng = np.random.default_rng(13)
         X = rng.standard_normal((60, 2))
         ds = Dataset(views=[X], Y=rng.standard_normal(60))
         cfg = TrainConfig(n_d=3, n_t=2, epochs=1, batch_size=20, mode="joint", homogenize=True)
-        monkeypatch.setattr(np, "isfinite", spy)
-        resolve_views([X], 3, homogenized=True)
+        checked = finite_checks(monkeypatch, 60)
+        resolve_views(checked_views([X]), 3, homogenized=True)
         assert checked == [(60, 2)]
         checked.clear()
-        model, _ = fit(ds, cfg)
-        assert checked == [(60, 2)]
-        checked.clear()
+        model, _ = fit(ds, cfg)  # the dataset's views were checked when it was built
+        assert checked == []
         predict(model, X)
         assert checked == [(60, 2)]
 
@@ -292,8 +285,8 @@ class TestKernels:
         rng = np.random.default_rng(8)
         model = random_model(rng, n=4, n_d=3, n_t=2)
         X = rng.integers(-5, 5, (12, 4))
-        views = resolve_views([X], model.n_d, model.dims)
-        assert all(V is views[0] for V in views)
+        views = resolve_views(checked_views([X]), model.n_d, model.dims)
+        assert len(views) == 1 and views[0].dtype == float
         assert np.array_equal(predict(model, X), predict(model, X.astype(float)))
 
 
@@ -421,6 +414,25 @@ class TestTake:
         assert np.array_equal(mixed.views[0], X[idx])
         assert np.array_equal(mixed.views[1], -X[idx])
 
+    def test_bare_matrix_is_one_view(self):
+        X = np.arange(12.0).reshape(6, 2)
+        ds = Dataset(views=X, Y=np.zeros(6))
+        assert len(ds.views) == 1 and ds.views[0] is X and ds.X is X
+
+    def test_rows_are_c_order_and_not_checked_again(self, monkeypatch):
+        Xf = np.asfortranarray(np.arange(24.0).reshape(6, 4))
+        ds = Dataset(views=[Xf, Xf[:, :2]], Y=np.asfortranarray(np.ones((6, 2))))
+        checked = finite_checks(monkeypatch, 6, 3)
+        part = ds.take(np.array([5, 0, 3]))
+        assert checked == []
+        assert all(A.flags.c_contiguous for A in (*part.views, part.Y))
+        assert np.array_equal(part.views[1], Xf[[5, 0, 3], :2]) and part.m == 3
+
+    def test_no_rows_refused(self):
+        ds = Dataset(views=[np.ones((4, 2))], Y=np.ones(4))
+        with pytest.raises(ValueError, match="^empty dataset$"):
+            ds.take(np.array([], dtype=int))
+
 
 class TestLayout:
     """Views and batches are C-contiguous whatever the input's layout, and the
@@ -432,7 +444,7 @@ class TestLayout:
     def test_resolve_views_and_take_rows_are_c_contiguous(self, layout):
         X = self.INPUTS[layout](np.arange(48.0).reshape(12, 4))
         idx = np.array([3, 0, 5])
-        views = resolve_views([X], 3)
+        views = checked_views([X])
         assert len(views) == 1 and views[0].flags.c_contiguous
         assert np.array_equal(views[0], X)
         for batch in (take_rows(views, idx), take_rows([X], idx)):
@@ -460,7 +472,7 @@ class TestLayout:
         Dataset(views=[np.zeros((6, 2))], Y=np.zeros(6))
         assert calls == [(6, 2), (6, 1)]
         calls.clear()
-        resolve_views([np.zeros((6, 2))], 3)
+        resolve_views(checked_views([np.zeros((6, 2))]), 3)
         assert calls == [(6, 2)]
 
 

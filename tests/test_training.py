@@ -25,9 +25,9 @@ from tensorpoly.training import (
 )
 from tensorpoly.gradcheck import TOLERANCE, _worst_entry, numeric_gradients, run_suite
 from tensorpoly.metrics import accuracy
-from tensorpoly.model import homogenize
+from tensorpoly.model import resolve_views
 
-from helpers import loop_forward, random_model
+from helpers import finite_checks, loop_forward, random_model
 
 
 def make_instance(seed, m, n, n_d, n_t, n_y=1):
@@ -93,11 +93,9 @@ class TestLoss:
         assert loss(model, Dataset(views=[X], Y=Y), cfg) == pytest.approx(expected, rel=1e-12)
 
     def test_empty_dataset_rejected(self):
-        rng = np.random.default_rng(4)
-        model = random_model(rng, n=2, n_d=2, n_t=1)
-        ds = Dataset(views=[np.zeros((0, 2))], Y=np.zeros((0, 1)))
-        with pytest.raises(ValueError):
-            loss(model, ds, TrainConfig(n_d=2, n_t=1))
+        # a Dataset has at least one row, so loss, gradients and fit never see none
+        with pytest.raises(ValueError, match="^empty dataset$"):
+            Dataset(views=[np.zeros((0, 2))], Y=np.zeros((0, 1)))
 
     def test_homogenized_model_takes_raw_views(self):
         rng = np.random.default_rng(14)
@@ -105,13 +103,30 @@ class TestLoss:
         homogenized = LtrModel(P=plain.P, Q=plain.Q, lam=plain.lam, homogenized=True)
         X, Y = rng.standard_normal((20, 3)), rng.standard_normal((20, 1))
         cfg = TrainConfig(n_d=2, n_t=2, C_p=0.3, C_q=0.2)
-        raw, ones = Dataset(views=[X], Y=Y), Dataset(views=[homogenize(X)], Y=Y)
+        raw = Dataset(views=[X], Y=Y)
+        ones = Dataset(views=resolve_views([X], 1, homogenized=True), Y=Y)
         assert loss(homogenized, raw, cfg) == loss(plain, ones, cfg)
         g_raw, g_ones = gradients(homogenized, raw, cfg), gradients(plain, ones, cfg)
         assert np.array_equal(g_raw[0], g_ones[0]) and np.array_equal(g_raw[2], g_ones[2])
         assert all(np.array_equal(a, b) for a, b in zip(g_raw[1], g_ones[1]))
         with pytest.raises(ValueError, match="view 0 has 4 columns, factor expects 3"):
             loss(homogenized, ones, cfg)
+
+
+class TestTrustedDataset:
+    @pytest.mark.parametrize("homogenize", [False, True])
+    @pytest.mark.parametrize("views", [1, 2], ids=["shared", "multiview"])
+    def test_fit_loss_and_gradients_check_nothing_again(self, monkeypatch, views, homogenize):
+        rng = np.random.default_rng(16)
+        ds = Dataset(views=[rng.standard_normal((40, 3)) for _ in range(views)],
+                     Y=rng.standard_normal((40, 2)))
+        cfg = TrainConfig(n_d=2, n_t=2, epochs=2, batch_size=10, mode="joint",
+                          homogenize=homogenize)
+        checked = finite_checks(monkeypatch, 40, 10)
+        model, _ = fit(ds, cfg)
+        loss(model, ds, cfg)
+        gradients(model, ds.take(np.arange(10)), cfg)
+        assert checked == []
 
 
 class TestGradients:
