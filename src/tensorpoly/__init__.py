@@ -5,13 +5,7 @@ gradients and ADAM, the baselines, the benchmark runner and the CLI are
 imported from their submodules.
 """
 
-from .model import (
-    Dataset,
-    LtrModel,
-    materialize_tensor,
-    predict,
-    tensor_contract,
-)
+from .model import Dataset, LtrModel, predict
 from .training import TrainConfig, fit
 from .datagen import GeneratorSpec, generate_model, sample_dataset, quadratics_dataset
 from .metrics import cross_validate, pearson
@@ -26,10 +20,8 @@ __all__ = [
     "cross_validate",
     "fit",
     "generate_model",
-    "materialize_tensor",
     "pearson",
     "predict",
     "quadratics_dataset",
     "sample_dataset",
-    "tensor_contract",
 ]

@@ -153,8 +153,6 @@ def run_benchmark(cfg):
 
     series = {}
     for name, _, value, metric, mean, _, status in rows:
-        series.setdefault(name, {}).setdefault(metric, []).append(
-            mean if status == "ok" else None
-        )
+        series.setdefault(name, {}).setdefault(metric, []).append(mean if status == "ok" else None)
     plot_data = {"variable": variable, "values": values, "series": series}
     return rows, plot_data

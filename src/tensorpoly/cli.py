@@ -209,11 +209,8 @@ def build_parser():
     p.add_argument("--out", help=out_help)
     p.add_argument("--predictions", required=True)
     p.add_argument("--truth", required=True)
-    p.add_argument(
-        "--task",
-        choices=["regression", "classification", "multilabel"],
-        default="regression",
-    )
+    p.add_argument("--task", choices=["regression", "classification", "multilabel"],
+                   default="regression")
     p.add_argument("--topk", type=int, help="top-k binarization for multilabel")
 
     p = sub.add_parser("benchmark", help="run a one-variable sweep with cross-validation")
@@ -244,6 +241,9 @@ def main(argv=None):
         return COMMANDS[args.command](args)
     except (OSError, ValueError) as exc:  # OSError: any file error names its path
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a run value too large to allocate for
+        print(f"error: {args.command}: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -55,17 +55,12 @@ def make_case(n_d, n_y, multiview, seed=0):
     """A random model/dataset/config triple for one grid point: 7 rows, 2 terms."""
     m, n_t = 7, 2
     rng = np.random.default_rng(seed)
-    if multiview:
-        widths = [3, 2, 4, 3][:n_d]
-    else:
-        widths = [3] * n_d
+    widths = [3, 2, 4, 3][:n_d] if multiview else [3] * n_d
     P = [rng.standard_normal((n_t, w)) for w in widths]
     Q = np.ones((n_t, 1)) if n_y == 1 else rng.standard_normal((n_t, n_y))
     lam = rng.standard_normal(n_t)
     model = LtrModel(P=P, Q=Q, lam=lam)
-    views = [rng.standard_normal((m, w)) for w in widths]
-    if not multiview:
-        views = [views[0]]
+    views = [rng.standard_normal((m, w)) for w in widths][:n_d if multiview else 1]
     Y = rng.standard_normal((m, n_y))
     dataset = Dataset(views=views, Y=Y)
     config = TrainConfig(n_d=n_d, n_t=n_t, C_p=0.37, C_q=0.23)

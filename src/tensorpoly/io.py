@@ -175,6 +175,14 @@ def model_from_dict(d):
     for key in ("P", "Q", "lambda", "homogenized"):
         if key not in d:
             raise ValueError(f"model file is missing key {key!r}")
+    for key in ("P", "Q", "lambda"):  # JSON numbers only: numpy would read "1" and true as 1.0
+        stack = [d[key]]
+        while stack:
+            value = stack.pop()
+            if isinstance(value, list):
+                stack.extend(value)
+            elif isinstance(value, (str, bool)):
+                raise ValueError(f"{key} must hold numbers only, got {value!r}")
     model = LtrModel(P=d["P"], Q=d["Q"], lam=d["lambda"], homogenized=d["homogenized"],
                      link=d.get("link", "identity"))
     for key, value in _shape_keys(model).items():

@@ -19,10 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Dense n-way arrays are only used as a small-instance verification oracle;
-# anything bigger than this entry count is refused.
-ORACLE_SIZE_CAP = 10_000_000
-
 
 def _finite_matrix(X, name, ndim=2, column=False):
     """``X`` as a C-order float array; a ValueError naming ``name`` unless it holds finite
@@ -216,57 +212,64 @@ def resolve_views(views, n_d, dims=None, homogenized=False):
     return views
 
 
-def z_factors(P, views):
-    """Per-factor projections Z_d = X_d P_d^T, each (m, n_t) in Fortran order.
+def z_factors(P, views, out=None):
+    """Per-factor projections Z_d = X_d P_d^T: the (n_d, m, n_t) transpose of ``out``, an
+    (n_d, n_t, m) C-order array (new by default). One view is projected for all factors
+    in one wide GEMM of their (n_d n_t, width) stack, which an (n_d, n_t, width) array
+    ``P`` gives with no copy; one view per factor gives ``Z_d = (P_d V_d^T)^T``."""
+    n_d, n_t, m = len(P), P[0].shape[0], views[0].shape[0]
+    out = np.empty((n_d, n_t, m)) if out is None else out
+    one = len(views) == 1
+    for S, V, Zt in zip([np.asarray(P).reshape(n_d * n_t, -1)] if one else P, views,
+                        [out.reshape(n_d * n_t, m)] if one else out):
+        np.dot(S, V.T, out=Zt)
+    return out.transpose(0, 2, 1)
 
-    One view is projected for all factors in one product, ``vstack(P) @
-    V^T`` of shape (n_d n_t, m): one wide GEMM instead of n_d narrow ones,
-    whose row blocks, transposed, are the ``Z_d`` with no copy. One view
-    per factor gives ``Z_d = (P_d V_d^T)^T``.
-    """
-    if len(views) > 1:
-        return [(Pd @ V.T).T for Pd, V in zip(P, views)]
-    stacked = np.vstack(P) @ views[0].T
-    return [block.T for block in stacked.reshape(len(P), P[0].shape[0], -1)]
 
-
-def hadamard_partials(Z):
+def hadamard_partials(Z, out=None):
     """All leave-one-out Hadamard products of the Z_d in one sweep.
 
     Returns a list of length ``n_d`` whose d-th entry is the elementwise
     product of every ``Z_k`` with ``k != d`` (all-ones for ``n_d == 1``):
     the product of ``Z_0..Z_{d-1}`` from the left times that of
     ``Z_{n_d-1}..Z_{d+1}`` from the right. Prefix/suffix products keep the
-    cost linear in the number of factors. Entries may alias the inputs
-    (for ``n_d == 2`` they are ``Z[1]`` and ``Z[0]``); do not write to them.
+    cost linear in the number of factors. Products go into ``out``, a list
+    of ``n_d`` arrays of Z's shape, if given. Entries may be the inputs
+    themselves (for ``n_d == 2``, ``Z[1]`` and ``Z[0]``); do not write to them.
     """
     n_d = len(Z)
-    if n_d == 1:
-        return [np.ones(Z[0].shape)]
-    out = [None, Z[0]]  # out[d] starts as the prefix product Z_0 * ... * Z_{d-1}
+    out = [None] * n_d if out is None else out
+    if n_d == 1:  # the empty product
+        ones = np.empty(Z[0].shape) if out[0] is None else out[0]
+        ones.fill(1.0)
+        return [ones]
+    parts = [None, Z[0]]  # parts[d] starts as the prefix product Z_0 * ... * Z_{d-1}
     for d in range(2, n_d):
-        out.append(out[-1] * Z[d - 1])
+        parts.append(np.multiply(parts[-1], Z[d - 1], out=out[d]))
     suffix = Z[n_d - 1]
     for d in range(n_d - 2, 0, -1):
-        out[d] = out[d] * suffix
-        suffix = suffix * Z[d]
-    out[0] = suffix
-    return out
+        parts[d] = np.multiply(parts[d], suffix, out=out[d])
+        suffix = np.multiply(suffix, Z[d], out=out[0])
+    parts[0] = suffix
+    return parts
 
 
-def forward_terms(P, lam, Q, views):
+def forward_terms(P, lam, Q, views, out=None):
     """Forward pass of a parameter set on resolved views: ``(Z, F, raw)``.
 
     ``Z`` are the projections ``Z_d = X_d P_d^T``; ``F`` (m, n_t) is their
     elementwise product, the per-term factor products; ``raw = F @
     diag(lam) @ Q`` (m, n_y) is the output before the link. Prediction,
-    data generation, the loss and the gradients all build ``F`` here.
+    data generation, the loss and the gradients all build ``F`` here. ``out``
+    is ``(Zt, F, F_lam, raw)``: the arrays for `z_factors`, ``F``, ``F @
+    diag(lam)`` and ``raw`` (new ones by default).
     """
-    Z = z_factors(P, views)
-    F = Z[0].copy(order="K")  # keeps Z_0's Fortran layout; a C-order copy is ~5x slower
-    for Zd in Z[1:]:
+    Zt, F, F_lam, raw = (None,) * 4 if out is None else out
+    Z = z_factors(P, views, Zt)
+    F = np.multiply(Z[0], Z[1] if len(Z) > 1 else 1.0, out=F)  # Z's layout; times 1.0 is exact
+    for Zd in Z[2:]:
         F *= Zd
-    return Z, F, (F * lam) @ Q
+    return Z, F, np.dot(np.multiply(F, lam, out=F_lam), Q, out=raw)
 
 
 def sigmoid(u):
@@ -293,39 +296,3 @@ def predict(model, views):
     views = resolve_views(checked_views(views), model.n_d, model.dims, model.homogenized)
     _, _, raw = forward_terms(model.P, model.lam, model.Q, views)
     return LINKS[model.link][0](raw)
-
-
-def materialize_tensor(model):
-    """Expand the model into its dense coefficient tensor, an ``n_d``-way ndarray.
-
-    It is the brute-force verification oracle: only meaningful for
-    scalar-output models with a common input width, and refused above
-    the oracle size cap.
-    """
-    if model.n_y != 1:
-        raise ValueError("materialize_tensor requires a scalar-output model")
-    n = model.n
-    if float(n) ** model.n_d > ORACLE_SIZE_CAP:
-        raise ValueError(
-            f"{n}^{model.n_d} entries exceed the oracle cap of {ORACLE_SIZE_CAP}"
-        )
-    T = np.zeros((n,) * model.n_d)
-    for t in range(model.n_t):
-        term = np.array(model.lam[t])
-        for Pd in model.P:
-            term = np.multiply.outer(term, Pd[t])
-        T += term
-    return T
-
-
-def tensor_contract(T, x):
-    """Contract a dense tensor (array) against the same vector on every axis."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    val = np.asarray(T, dtype=float)
-    if any(dim != x.shape[0] for dim in val.shape):
-        raise ValueError(
-            f"tensor dims {val.shape} incompatible with vector of length {x.shape[0]}"
-        )
-    for _ in range(val.ndim):
-        val = np.tensordot(val, x, axes=([0], [0]))
-    return float(val)

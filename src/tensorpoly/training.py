@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import ClassVar
 
 import numpy as np
@@ -34,7 +35,6 @@ from .model import (
     one_of,
     real,
     resolve_views,
-    take_rows,
 )
 
 MODES = ("rank_wise", "joint", "layered")
@@ -100,16 +100,17 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moments of (lam, P, Q) as flat vectors, plus step count."""
+    """First/second moments of (lam, P, Q) as flat vectors, step count, scratch for a step."""
 
     m: np.ndarray
     v: np.ndarray
     step: int = 0
+    scratch: np.ndarray = None
 
     @classmethod
     def zeros(cls, lam, P, Q):
         size = lam.size + sum(Pd.size for Pd in P) + Q.size
-        return cls(m=np.zeros(size), v=np.zeros(size))
+        return cls(m=np.zeros(size), v=np.zeros(size), scratch=np.empty((2, size)))
 
 
 @dataclass
@@ -119,8 +120,8 @@ class FitReport:
     ``loss_traces`` holds one per-epoch trace per phase (one phase for
     joint fits, one per rank or block otherwise), and ``best_epoch`` the
     1-based epoch of each phase's lowest loss, whose parameters the
-    phase returns. ``residual_norms``
-    holds ``||Y - mean(offset)||`` before and after each block, with the
+    phase returns. ``residual_norms`` holds ``||Y - mean(offset)||``
+    before and after each block, with the
     link's ``mean`` and the blocks' summed pre-link output ``offset``;
     with the identity link it never increases, with the logistic link
     the training NLL never increases instead. ``eta_squared[b]`` is the
@@ -139,8 +140,7 @@ class FitReport:
 def _raw_loss(P, lam, Q, views, Y, offset, C_p, C_q, link):
     """``(loss, raw)``: the regularized objective at ``offset + raw``, and ``raw``."""
     m, n_y = Y.shape
-    n_t = lam.shape[0]
-    n_d = len(P)
+    n_t, n_d = lam.shape[0], len(P)
     _, _, raw = forward_terms(P, lam, Q, views)
     data = LINKS[link][1](Y, offset + raw) / (m * n_y)
     reg_p = 0.0
@@ -151,24 +151,71 @@ def _raw_loss(P, lam, Q, views, Y, offset, C_p, C_q, link):
     return data + reg_p + reg_q, raw
 
 
-def _raw_gradients(P, lam, Q, views, Y, offset, C_p, C_q, link, train_q=True):
-    """``(g_lam, g_P, g_Q)`` at ``offset + raw``; ``g_Q`` is None unless ``train_q``."""
-    m, n_y = Y.shape
-    n_t = lam.shape[0]
-    n_d = len(P)
-    Z, F, raw = forward_terms(P, lam, Q, views)
-    E = Y - LINKS[link][0](offset + raw)
+def _param_views(n_t, n_y, n_d, views, flat=None):
+    """``(flat, lam, P, Q)``: a block's parameters as views into one flat vector (new zeros by
+    default) in the order lam, P[0], ..., Q. P is one (n_d, n_t, width) stack for one view,
+    which `z_factors` projects with no copy, else a list of (n_t, width_d) matrices."""
+    widths = [V.shape[1] for V in factor_views(views, n_d)]
+    ends = [n_t * e for e in accumulate([0, 1, *widths, n_y])]
+    flat = np.zeros(ends[-1]) if flat is None else flat
+    blocks = [flat[a:b].reshape(n_t, -1) for a, b in zip(ends, ends[1:])]
+    P = flat[ends[1]:ends[-2]].reshape(n_d, n_t, -1) if len(views) == 1 else blocks[1:-1]
+    return flat, flat[:n_t], P, blocks[-1]
+
+
+class _Workspace:
+    """The arrays of `_raw_gradients` on up to ``rows`` rows, allocated once: the flat
+    gradient ``g`` in `_param_views`' layout, scratch for the penalties, and ``memory``,
+    whose front `rows` carves into a batch's arrays as numpy lays out new ones."""
+
+    def __init__(self, n_t, n_y, n_d, views, rows):
+        self.g, self.g_lam, self.g_P, self.g_Q = _param_views(n_t, n_y, n_d, views)
+        _, _, self.reg_P, self.reg_Q = _param_views(n_t, n_y, n_d, views)
+        self.shape, self.batches = (n_t, n_y, n_d), {}
+        self.memory = np.empty(rows * ((2 * n_d + 6) * n_t + 2 * n_y))
+
+    def rows(self, b):
+        """``((Zt, F, F_lam, raw), EQ, weighted, FE, W, parts, E)`` for ``b`` rows, C order but
+        for the (b, n_t) arrays: Fortran order like Z, except W when n_d == 1 (np.ones' order)."""
+        if b not in self.batches:
+            n_t, n_y, n_d = self.shape
+            ends = [b * e for e in accumulate([0, n_d * n_t] + [n_t] * (n_d + 6) + [n_y] * 2)]
+            Zt, EQ, *terms, raw, E = [self.memory[s:e] for s, e in zip(ends, ends[1:])]
+            F, F_lam, weighted, FE, W, *parts = [A.reshape(n_t, b).T for A in terms]
+            W = terms[4].reshape(b, n_t) if n_d == 1 else W
+            fwd = Zt.reshape(n_d, n_t, b), F, F_lam, raw.reshape(b, n_y)
+            self.batches[b] = fwd, EQ.reshape(n_t, b), weighted, FE, W, parts, E.reshape(b, n_y)
+        return self.batches[b]
+
+
+def _raw_gradients(P, lam, Q, views, Y, offset, C_p, C_q, link, train_q=True, work=None):
+    """``(g_lam, g_P, g_Q)`` at ``offset + raw``: views into ``work.g`` (a new `_Workspace` by
+    default); ``g_Q`` is None, and its slot left as it was, unless ``train_q``."""
+    (m, n_y), n_t, n_d = Y.shape, lam.shape[0], len(P)
+    work = _Workspace(n_t, n_y, n_d, views, m) if work is None else work
+    fwd, EQ, weighted, FE, W, parts, E = work.rows(m)
+    Z, F, raw = forward_terms(P, lam, Q, views, fwd)
+    E = np.subtract(Y, LINKS[link][0](np.add(offset, raw, out=raw)), out=E)
     scale = 1.0 / (m * n_y)
-    EQt = (Q @ E.T).T  # Fortran-order like Z and F, so the products below are contiguous
-    g_lam = -scale * (F * EQt).sum(axis=0)
-    parts = hadamard_partials(Z)
-    weighted = EQt * lam
-    g_P = []
-    for d, V in enumerate(factor_views(views, n_d)):
-        data_term = (parts[d] * weighted).T @ V
-        g_P.append(-scale * data_term + (C_p / (n_t * n_d * P[d].shape[1])) * P[d])
-    g_Q = -scale * (lam[:, None] * (F.T @ E)) + (C_q / (n_t * n_y)) * Q if train_q else None
-    return g_lam, g_P, g_Q
+    # one product per entry for n_y == 1, as in a GEMM; Fortran order like F and Z
+    EQt = (np.dot if n_y > 1 else np.multiply)(Q, E.T, out=EQ).T
+    np.add.reduce(np.multiply(F, EQt, out=FE), 0, None, work.g_lam)
+    work.g_lam *= -scale
+    parts = hadamard_partials(Z, parts)
+    weighted = np.multiply(EQt, lam, out=weighted)
+    for d, V in enumerate(factor_views(views, n_d)):  # one GEMM per factor, into its rows of g
+        np.dot(np.multiply(parts[d], weighted, out=W).T, V, out=work.g_P[d])
+    # the penalty on each view's stack of factors: all of P for one view
+    stacks = [(work.g_P, P, work.reg_P)] if len(views) == 1 else zip(work.g_P, P, work.reg_P)
+    for g_S, S, reg in stacks:
+        g_S *= -scale
+        g_S += np.multiply(S, C_p / (n_t * n_d * g_S.shape[-1]), out=reg)
+    if train_q:
+        g_Q = np.dot(F.T, E, out=work.g_Q)
+        g_Q *= lam[:, None]
+        g_Q *= -scale
+        g_Q += np.multiply(Q, C_q / (n_t * n_y), out=work.reg_Q)
+    return work.g_lam, work.g_P, work.g_Q if train_q else None
 
 
 def loss(model, dataset, config):
@@ -182,8 +229,9 @@ def loss(model, dataset, config):
 
 
 def gradients(model, batch, config):
-    """Analytic gradients of `loss` on a batch: ``(g_lam, g_P, g_Q)``."""
-    return _raw_gradients(*_model_inputs(model, batch), 0.0, config.C_p, config.C_q, model.link)
+    """Analytic gradients of `loss` on a batch: ``(g_lam, g_P, g_Q)``, g_P a list."""
+    g = _raw_gradients(*_model_inputs(model, batch), 0.0, config.C_p, config.C_q, model.link)
+    return g[0], list(g[1]), g[2]
 
 
 def _model_inputs(model, data):
@@ -195,39 +243,31 @@ def _model_inputs(model, data):
     return model.P, model.lam, model.Q, views, data.Y
 
 
-def adam_step(
-    state,
-    params,
-    grads,
-    learning_rate,
-    *,
-    beta1=TrainConfig.adam_beta1,
-    beta2=TrainConfig.adam_beta2,
-    eps=TrainConfig.adam_eps,
-    update_q=True,
-):
-    """One bias-corrected ADAM update applied in place to (lam, P, Q).
+def adam_step(state, params, grads, learning_rate, *, beta1=TrainConfig.adam_beta1,
+              beta2=TrainConfig.adam_beta2, eps=TrainConfig.adam_eps, update_q=True):
+    """One bias-corrected ADAM update applied in place to the leaves of ``params``.
 
-    ADAM is elementwise, so all groups share one flat update. With
-    ``update_q=False`` Q's gradient slot is zero: its moments stay 0, its
-    step is exactly 0 and Q is left bitwise unchanged.
+    ``params`` and ``grads`` are (lam, P, Q) and (g_lam, g_P, g_Q), P a list, or any
+    matching sequences of arrays and lists of arrays, such as a fit's flat parameters and
+    gradient. ADAM is elementwise: each leaf is updated on its slice of the flat moments.
+    With ``update_q=False`` the last leaf, Q, is skipped and left bitwise unchanged.
     """
-    lam, P, Q = params
-    g_lam, g_P, g_Q = grads
-    g_Q = g_Q if update_q else np.zeros_like(Q)
-    g = np.concatenate([g_lam.ravel(), *(gd.ravel() for gd in g_P), g_Q.ravel()])
+    pairs = [pair for p, g in zip(params, grads)
+             for pair in (zip(p, g) if isinstance(p, list) else [(p, g)])]
     state.step += 1
-    b1c = 1.0 - beta1 ** state.step
-    b2c = 1.0 - beta2 ** state.step
-    state.m *= beta1
-    state.m += (1.0 - beta1) * g
-    state.v *= beta2
-    state.v += (1.0 - beta2) * (g * g)
-    step = learning_rate * (state.m / b1c) / (np.sqrt(state.v / b2c) + eps)
-    start = 0
-    for theta in (lam, *P, Q):
-        theta -= step[start:start + theta.size].reshape(theta.shape)
-        start += theta.size
+    b1c, b2c = 1.0 - beta1 ** state.step, 1.0 - beta2 ** state.step
+    stop = 0
+    for theta, g in pairs[:None if update_q else -1]:
+        start, stop = stop, stop + theta.size
+        m, v = state.m[start:stop], state.v[start:stop]
+        a, b, g = state.scratch[0, start:stop], state.scratch[1, start:stop], g.ravel()
+        m *= beta1
+        m += np.multiply(g, 1.0 - beta1, out=a)
+        v *= beta2
+        v += np.multiply(np.multiply(g, g, out=a), 1.0 - beta2, out=a)
+        np.multiply(np.divide(m, b1c, out=a), learning_rate, out=a)
+        np.divide(a, np.add(np.sqrt(np.divide(v, b2c, out=b), out=b), eps, out=b), out=a)
+        theta -= a.reshape(theta.shape)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -241,36 +281,41 @@ def _fit_block(views, Y, offset, n_t, config, rng, phase):
     untrained for scalar outputs. ``phase`` is the 1-based block index a
     divergence reports. Overflow on the way to a diverged loss is not
     warned about: the epoch-loss check raises `TrainingDivergedError`.
+    ADAM updates one flat parameter vector in place; an identity-link batch creates no array.
     """
     m, n_y = Y.shape
-    P = [rng.standard_normal((n_t, V.shape[1])) / np.sqrt(V.shape[1])
-         for V in factor_views(views, config.n_d)]
-    lam = np.ones(n_t)
+    n_d = config.n_d
+    theta, lam, P, Q = _param_views(n_t, n_y, n_d, views)
+    for Pd, V in zip(P, factor_views(views, n_d)):
+        Pd[...] = rng.standard_normal(Pd.shape) / np.sqrt(V.shape[1])
+    lam[:] = 1.0
     train_q = n_y > 1
-    Q = rng.standard_normal((n_t, n_y)) / np.sqrt(n_y) if train_q else np.ones((n_t, 1))
-    state = AdamState.zeros(lam, P, Q)
-    trace = []
-    B = config.batch_size
-    # Y and offset side by side, so each batch gathers both in one C-order `np.take`
-    targets = np.hstack([Y, offset])
+    Q[...] = rng.standard_normal((n_t, n_y)) / np.sqrt(n_y) if train_q else 1.0
+    state, trace = AdamState.zeros(lam, P, Q), []
+    B = min(config.batch_size, m)
+    work = _Workspace(n_t, n_y, n_d, views, B)
+    sources = (*views, Y, offset)
+    gathered = [np.empty((B, A.shape[1])) for A in sources]
+    # ADAM steps Q only when it is trained; its gradient slot is written only then
+    n = theta.size - (0 if train_q else Q.size)
+    leaves = (theta[:n],), (work.g[:n],)
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(m)
         for start in range(0, m, B):
             idx = order[start:start + B]
-            bviews = take_rows(views, idx)
-            bt = np.take(targets, idx, axis=0)
-            grads_b = _raw_gradients(
-                P, lam, Q, bviews, bt[:, :n_y], bt[:, n_y:], config.C_p, config.C_q, config.link,
-                train_q,
-            )
-            adam_step(state, (lam, P, Q), grads_b, config.learning_rate, update_q=train_q)
+            # "clip" takes straight into `out` ("raise" buffers); the indices are in range
+            *bviews, bY, boffset = [np.take(A, idx, axis=0, out=G[:idx.size], mode="clip")
+                                    for A, G in zip(sources, gathered)]
+            _raw_gradients(P, lam, Q, bviews, bY, boffset, config.C_p, config.C_q, config.link,
+                           train_q, work)
+            adam_step(state, *leaves, config.learning_rate)
         L, raw = _raw_loss(P, lam, Q, views, Y, offset, config.C_p, config.C_q, config.link)
         if not np.isfinite(L):
             raise TrainingDivergedError(epoch, phase)
         if not trace or L < min(trace):
-            best = (lam.copy(), [Pd.copy() for Pd in P], Q.copy(), raw, epoch)
+            best = theta.copy(), raw, epoch
         trace.append(L)
-    return *best, trace
+    return *_param_views(n_t, n_y, n_d, views, best[0])[1:], *best[1:], trace
 
 
 def fit(dataset, config):
@@ -287,9 +332,9 @@ def fit(dataset, config):
     """
     if config.link == "logistic":
         _check_binary(dataset.Y, "logistic fit labels Y")
-    blocks = {"joint": [config.n_t], "layered": config.rank_blocks,
-              "rank_wise": [1] * config.n_t}[config.mode]
     layered = config.mode == "layered"
+    blocks = (config.rank_blocks if layered else [config.n_t] if config.mode == "joint"
+              else [1] * config.n_t)
     views = resolve_views(dataset.views, config.n_d, homogenized=config.homogenize)
     rng = np.random.default_rng(config.seed)
     Y = dataset.Y
@@ -318,11 +363,6 @@ def fit(dataset, config):
             report.eta_squared.append(correlation_ratio(np.vstack(layer_preds)))
         report.seconds.append(time.perf_counter() - t0)
     lams, Ps, Qs = zip(*fitted)
-    model = LtrModel(
-        P=[np.vstack(rows) for rows in zip(*Ps)],
-        Q=np.vstack(Qs),
-        lam=np.concatenate(lams),
-        homogenized=config.homogenize,
-        link=config.link,
-    )
+    model = LtrModel(P=[np.vstack(rows) for rows in zip(*Ps)], Q=np.vstack(Qs),
+                     lam=np.concatenate(lams), homogenized=config.homogenize, link=config.link)
     return model, report

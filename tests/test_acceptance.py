@@ -23,17 +23,15 @@ from tensorpoly import (
     fit,
     generate_model,
     GeneratorSpec,
-    materialize_tensor,
     predict,
     sample_dataset,
     quadratics_dataset,
-    tensor_contract,
 )
 from tensorpoly.benchmark import fm_learner, krr_learner, linreg_learner, ltr_learner
 from tensorpoly.cli import main
 from tensorpoly.metrics import accuracy
 
-from helpers import predict_point, random_model
+from helpers import materialize_tensor, predict_point, random_model, tensor_contract
 
 ROOT = Path(__file__).resolve().parent.parent
 

@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tensorpoly import Dataset, LtrModel, TrainConfig, benchmark, fit, predict, quadratics_dataset
+from tensorpoly import (Dataset, LtrModel, TrainConfig, benchmark, cli, fit, predict,
+                        quadratics_dataset)
 from tensorpoly.cli import build_parser, main
 from tensorpoly.io import (
     CSV_BLOCK,
@@ -755,7 +756,12 @@ REJECTED = [
           ("lambda", "object", {}, "lambda must be an array of numbers: .*'dict'"),
           # one scale factor per term: a number or a nested list is not read as a list
           ("lambda", "number", 2.0, r"lambda must be a 1-d array, got shape \(\)"),
-          ("lambda", "nested", [[1.0]], r"lambda must be a 1-d array, got shape \(1, 1\)"))],
+          ("lambda", "nested", [[1.0]], r"lambda must be a 1-d array, got shape \(1, 1\)"),
+          # JSON numbers only: a string or a boolean is not read as a number
+          ("P", "string", [[["1", 0.0]], [[0.0, 1.0]]], "P must hold numbers only, got '1'"),
+          ("Q", "boolean", [[True]], "Q must hold numbers only, got True"),
+          ("lambda", "string", ["1"], "lambda must hold numbers only, got '1'"),
+          ("lambda", "boolean", [False], "lambda must hold numbers only, got False"))],
     *[(f"benchmark-{section}-misspelt-key", {"cfg.json": one_point_sweep(name, value, [section])},
        BENCH_ARGS, rf"^error: unknown {section} section key {key!r}; known keys: {known}$")
       for section, name, value, key, known in (
@@ -849,6 +855,16 @@ class TestInputContract:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert re.search(message, err)
         assert " at row " not in err and "usecols" not in err  # loadtxt's data-row index, advice
+
+    def test_out_of_memory_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch):
+        # a run value too large to allocate for, such as train.n_t = 10**12, without allocating
+        def fit(dataset, config):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (10**12, 1)")
+
+        monkeypatch.setattr(cli, "fit", fit)
+        assert run_cli(tmp_path, {**ONE_EPOCH, "in.csv": XY_CSV}, TRAIN_ARGS) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: train: Unable to allocate .*\n", err)
 
     @pytest.mark.parametrize("argv,extra", [case[1:] for case in UNREAD_FLAGS],
                              ids=[f"{case[0]}{case[2][0]}" for case in UNREAD_FLAGS])

@@ -13,10 +13,8 @@ from tensorpoly import (
     TrainConfig,
     fit,
     generate_model,
-    materialize_tensor,
     predict,
     sample_dataset,
-    tensor_contract,
 )
 from tensorpoly.baselines import linreg_predict
 from tensorpoly.io import generator_spec
@@ -31,7 +29,14 @@ from tensorpoly.model import (
     z_factors,
 )
 
-from helpers import finite_checks, loop_forward, predict_point, random_model
+from helpers import (
+    finite_checks,
+    loop_forward,
+    materialize_tensor,
+    predict_point,
+    random_model,
+    tensor_contract,
+)
 
 
 def unit_xy_model():
@@ -79,12 +84,12 @@ class TestHomogenize:
         projected, ones_columns = [], []  # views per z_factors call (one product each)
         exact_z, exact_hstack = tmodel.z_factors, np.hstack
 
-        def spy_z(P, views):
+        def spy_z(P, views, out=None):
             projected.append(len(views))
-            return exact_z(P, views)
+            return exact_z(P, views, out)
 
         def spy_hstack(arrays, **kwargs):
-            # a ones column appended to a view; _fit_block's [Y, offset] ends in zeros
+            # a ones column appended to a view
             last = np.asarray(arrays[-1])
             if last.ndim == 2 and last.shape[1] == 1 and np.all(last == 1.0):
                 ones_columns.append(np.shape(arrays[0]))

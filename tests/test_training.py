@@ -15,6 +15,7 @@ from tensorpoly import (
     quadratics_dataset,
     sample_dataset,
 )
+import tensorpoly.training as training
 from tensorpoly.training import (
     AdamState,
     TrainingDivergedError,
@@ -25,7 +26,7 @@ from tensorpoly.training import (
 )
 from tensorpoly.gradcheck import TOLERANCE, _worst_entry, numeric_gradients, run_suite
 from tensorpoly.metrics import accuracy
-from tensorpoly.model import resolve_views
+from tensorpoly.model import factor_views, resolve_views, take_rows
 
 from helpers import finite_checks, loop_forward, random_model
 
@@ -727,6 +728,82 @@ class TestBestIterate:
         assert trace[-1] > 20 * min(trace)
         assert report.best_epoch == [trace.index(min(trace)) + 1]
         assert loss(model, ds, cfg) == min(trace)
+
+
+def reference_block(views, Y, offset, n_t, config, rng):
+    """One epoch of `_fit_block` as the plain per-batch loop, with the same draws: rows
+    gathered by `take_rows`, tuple-form gradients on new arrays, tuple-form `adam_step`."""
+    m, n_y = Y.shape
+    P = [rng.standard_normal((n_t, V.shape[1])) / np.sqrt(V.shape[1])
+         for V in factor_views(views, config.n_d)]
+    lam = np.ones(n_t)
+    train_q = n_y > 1
+    Q = rng.standard_normal((n_t, n_y)) / np.sqrt(n_y) if train_q else np.ones((n_t, 1))
+    state = AdamState.zeros(lam, P, Q)
+    order = rng.permutation(m)
+    for start in range(0, m, config.batch_size):
+        idx = order[start:start + config.batch_size]
+        g_lam, g_P, g_Q = _raw_gradients(P, lam, Q, take_rows(views, idx), Y[idx], offset[idx],
+                                         config.C_p, config.C_q, config.link, train_q)
+        adam_step(state, (lam, P, Q), (g_lam, list(g_P), g_Q), config.learning_rate,
+                  update_q=train_q)
+    L, raw = training._raw_loss(P, lam, Q, views, Y, offset, config.C_p, config.C_q, config.link)
+    return lam, P, Q, raw, 1, [L]
+
+
+class TestFitBlockStep:
+    # (widths of the views, n_d, n_y, link, homogenized); m = 97 is not a multiple of 20
+    CASES = {
+        "one-view": ([4], 3, 1, "identity", False),
+        "n_d-views": ([4, 3, 2], 3, 1, "identity", False),
+        "homogenized": ([3], 3, 1, "identity", True),
+        "n_y=3": ([4], 2, 3, "identity", False),
+        "logistic": ([4], 2, 1, "logistic", False),
+        "n_d=1": ([5], 1, 1, "identity", False),
+        "views-n_y=3-logistic": ([3, 2], 2, 3, "logistic", False),
+    }
+
+    @pytest.mark.parametrize("m", [97, 100])
+    @pytest.mark.parametrize("case", CASES, ids=list(CASES))
+    def test_one_epoch_matches_the_plain_loop_bitwise(self, case, m):
+        widths, n_d, n_y, link, homogenized = self.CASES[case]
+        rng = np.random.default_rng(21)
+        views = resolve_views([rng.standard_normal((m, w)) for w in widths], n_d,
+                              homogenized=homogenized)
+        Y = rng.standard_normal((m, n_y))
+        Y = (Y > 0).astype(float) if link == "logistic" else Y
+        offset = 0.3 * rng.standard_normal((m, n_y))
+        cfg = TrainConfig(n_d=n_d, n_t=2, C_p=0.01, C_q=0.02, epochs=1, batch_size=20, link=link)
+        got = training._fit_block(views, Y, offset, 2, cfg, np.random.default_rng(5), 1)
+        want = reference_block(views, Y, offset, 2, cfg, np.random.default_rng(5))
+        (lam, P, Q, raw, epoch, trace), (r_lam, r_P, r_Q, r_raw, r_epoch, r_trace) = got, want
+        assert len(P) == n_d and all(np.array_equal(a, b) for a, b in zip(P, r_P))
+        for a, b in ((lam, r_lam), (Q, r_Q), (raw, r_raw)):
+            assert np.array_equal(a, b)
+        assert (epoch, trace) == (r_epoch, r_trace)
+        assert n_y > 1 or np.array_equal(Q, np.ones((2, 1)))
+
+    @pytest.mark.parametrize("mode,blocks", [("joint", 1), ("layered", 2), ("rank_wise", 3)])
+    def test_traced_kernels_run_once_per_batch(self, monkeypatch, mode, blocks):
+        # the counts a tracer of the module attributes relies on: one ADAM step and one
+        # partials sweep per batch, one projection per batch and per epoch loss
+        import tensorpoly.model as tmodel
+        calls = {}
+        for module, name in ((training, "adam_step"), (training, "hadamard_partials"),
+                             (tmodel, "z_factors")):
+            def spy(*args, exact=getattr(module, name), name=name, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return exact(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((230, 3))
+        cfg = TrainConfig(n_d=3, n_t=3, epochs=2, batch_size=50, mode=mode,
+                          rank_blocks=[2, 1] if mode == "layered" else None)
+        fit(Dataset(views=[X], Y=rng.standard_normal(230)), cfg)
+        batches = blocks * cfg.epochs * 5
+        assert calls == {"adam_step": batches, "hadamard_partials": batches,
+                         "z_factors": batches + blocks * cfg.epochs}
 
 
 class TestFitDispatcher:

@@ -16,7 +16,9 @@ of two runs names every output that moved. The outputs are:
   dual path, which no sweep point takes: the predictions on held-out rows.
 
 Wall-clock fields (`FitReport.seconds`, ``train_seconds`` rows) are left
-out, since they differ from run to run.
+out, since they differ from run to run. Reruns are exact at a fixed BLAS
+thread count (the KRR dual-path prediction moves between 1 and 2 OpenBLAS
+threads), so stderr names the BLAS thread variables and the CPU count.
 """
 
 from __future__ import annotations
@@ -144,6 +146,10 @@ def krr_outputs():
 
 
 def main():
+    # a rerun is exact at a fixed BLAS thread count, so stderr names the one of this run
+    threads = [f"{key}={os.environ.get(key, 'unset')}"
+               for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")]
+    print(*threads, f"nproc={len(os.sched_getaffinity(0))}", file=sys.stderr)
     for outputs in (fit_outputs, cli_outputs, sweep_outputs, krr_outputs):
         for label, value in outputs():
             print(label, digest(value))
