@@ -18,18 +18,13 @@ from . import io as tio
 from .benchmark import run_benchmark
 from .datagen import generate_model, sample_dataset, quadratics_dataset
 from .metrics import accuracy, column_scores, f1_multilabel, top_k_binarize
-from .model import Dataset, _finite_matrix, integral, one_of, predict
+from .model import Dataset, integral, one_of, predict
 from .training import TrainConfig, TrainingDivergedError, fit
 
 
 def _load_config(path):
-    """The JSON object in ``path``, checked against `io.RUN_CONFIG` by `io.check_config`."""
-    if path is None:
-        return {}
-    try:
-        cfg = tio.read_json(path)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config file {path} is not valid JSON: {exc}") from None
+    """The JSON object in ``path``, {} without one, checked against `io.RUN_CONFIG`."""
+    cfg = {} if path is None else tio.read_json(path)
     tio.check_config(cfg, tio.RUN_CONFIG)
     return cfg
 
@@ -79,26 +74,14 @@ def _read_training_data(args):
     if args.data:
         if args.views or args.labels:
             raise ValueError("--data cannot be combined with --views/--labels")
-        X, Y = _read_csv_checked(args.data, "xy")
+        X, Y = tio.read_dataset_csv(args.data, "xy")
         return Dataset(views=[X], Y=Y)
     if args.views:
         if not args.labels:
             raise ValueError("multi-view training needs --labels with the shared outputs")
-        views = [_read_csv_checked(p, "x")[0] for p in args.views]
-        return Dataset(views=views, Y=_read_csv_checked(args.labels, "y")[1])
+        views = [tio.read_dataset_csv(p, "x")[0] for p in args.views]
+        return Dataset(views=views, Y=tio.read_dataset_csv(args.labels, "y")[1])
     raise ValueError("no training data: pass --data or --views/--labels")
-
-
-def _read_csv_checked(path, need):
-    """``(X, Y)`` of the CSV at ``path``; each column group in ``need`` ("x", "y") must be
-    present and finite."""
-    X, Y = tio.read_dataset_csv(path)
-    for group, A in zip("xy", (X, Y)):
-        if group in need:
-            if A is None:
-                raise ValueError(f"{path}: no {group}* columns")
-            _finite_matrix(A, f"{path}: {group.upper()}")
-    return X, Y
 
 
 def cmd_train(args):
@@ -120,7 +103,7 @@ def cmd_train(args):
 
 def cmd_predict(args):
     model = tio.load_model(args.model)
-    views = [_read_csv_checked(p, "x")[0] for p in args.views]
+    views = [tio.read_dataset_csv(p, "x")[0] for p in args.views]
     try:
         yhat = predict(model, views)
     except ValueError as exc:
@@ -134,8 +117,8 @@ def cmd_predict(args):
 def cmd_evaluate(args):
     if args.topk is not None and args.task != "multilabel":
         raise ValueError("--topk applies to --task multilabel only")
-    yhat = _read_csv_checked(args.predictions, "y")[1]
-    ytrue = _read_csv_checked(args.truth, "y")[1]
+    yhat = tio.read_dataset_csv(args.predictions, "y")[1]
+    ytrue = tio.read_dataset_csv(args.truth, "y")[1]
     if yhat.shape != ytrue.shape:
         raise ValueError(f"shape mismatch: predictions are {yhat.shape}, truth is {ytrue.shape}")
     if args.task == "regression":
@@ -242,7 +225,7 @@ def main(argv=None):
     except (OSError, ValueError) as exc:  # OSError: any file error names its path
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError as exc:  # a run value too large to allocate for
+    except (MemoryError, OverflowError) as exc:  # a run value too large to allocate or index
         print(f"error: {args.command}: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 

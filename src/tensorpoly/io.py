@@ -1,10 +1,10 @@
 """File formats: dataset/prediction/benchmark CSVs and model/report JSON.
 
-CSV files carry a header of feature columns ``x1..xn`` followed by
-output columns (``y`` for a single output, ``y1..yn_y`` otherwise).
-Floats are serialized at full round-trip precision, one block of rows
-at a time. All writes go through a temp file plus rename so failures,
-mid-stream too, never leave partial output.
+CSV files carry the header `_header` states. Floats are serialized at
+full round-trip precision, one block of rows at a time. All writes go
+through a temp file plus rename so failures, mid-stream too, never leave
+partial output. The readers hold every rule a file must meet, and a file
+that breaks one is a ValueError that names its path.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from io import StringIO
 import numpy as np
 
 from .datagen import GeneratorSpec
-from .model import LtrModel, integral, real
+from .model import LtrModel, _finite_matrix, integral, real
 from .training import TrainConfig
 
 MODEL_SCHEMA_VERSION = 1
@@ -86,29 +86,26 @@ def _rows_to_csv(header, *columns):
         yield (line * block.shape[0]) % tuple(block.ravel().tolist())
 
 
-def _y_names(n_y):
-    return ["y"] if n_y == 1 else [f"y{j + 1}" for j in range(n_y)]
+def _header(n_x, n_y):
+    """The CSV header of n_x features and n_y outputs: ``x1..xn``, then ``y`` or ``y1..yk``."""
+    return ([f"x{j + 1}" for j in range(n_x)]
+            + ["y" if n_y == 1 else f"y{j + 1}" for j in range(n_y)])
 
 
 def write_dataset_csv(path, X, Y=None):
     """Write features (and outputs, if given) to one CSV."""
     X = np.asarray(X, dtype=float)
-    header = [f"x{j + 1}" for j in range(X.shape[1])]
-    columns = (X,)
-    if Y is not None:
-        Y = np.asarray(Y, dtype=float)
-        Y = Y.reshape(-1, 1) if Y.ndim == 1 else Y
-        if Y.shape[0] != X.shape[0]:
-            raise ValueError(f"X has {X.shape[0]} rows, Y has {Y.shape[0]}")
-        header += _y_names(Y.shape[1])
-        columns = (X, Y)
-    _atomic_write(path, _rows_to_csv(header, *columns))
+    Y = np.empty((X.shape[0], 0)) if Y is None else np.asarray(Y, dtype=float)
+    Y = Y.reshape(-1, 1) if Y.ndim == 1 else Y
+    if Y.shape[0] != X.shape[0]:
+        raise ValueError(f"X has {X.shape[0]} rows, Y has {Y.shape[0]}")
+    _atomic_write(path, _rows_to_csv(_header(X.shape[1], Y.shape[1]), X, Y))
 
 
 def write_predictions_csv(path, Y):
     Y = np.asarray(Y, dtype=float)
     Y = Y.reshape(-1, 1) if Y.ndim == 1 else Y
-    _atomic_write(path, _rows_to_csv(_y_names(Y.shape[1]), Y))
+    _atomic_write(path, _rows_to_csv(_header(0, Y.shape[1]), Y))
 
 
 def write_results_csv(path, rows):
@@ -124,26 +121,32 @@ def write_results_csv(path, rows):
     _atomic_write(path, buf.getvalue())
 
 
-def read_dataset_csv(path):
-    """Read a CSV with x*/y* header into (X, Y); Y is None without y columns."""
-    with open(path) as fh:
-        header = next(csv.reader([fh.readline()]), [])
-        x_idx = [i for i, name in enumerate(header) if name.strip().startswith("x")]
-        y_idx = [i for i, name in enumerate(header) if name.strip().startswith("y")]
-        if not x_idx and not y_idx:
-            raise ValueError(f"{path}: header has no x*/y* columns")
-        try:
+def read_dataset_csv(path, need=""):
+    """C-order ``(X, Y)`` of the UTF-8 CSV at ``path`` (a byte order mark is dropped), None for
+    a group without columns. The header is `_header`'s, names stripped of spaces; each column
+    group in ``need`` ("x", "y") must be present and finite."""
+    with open(path, encoding="utf-8-sig") as fh:
+        try:  # a byte that is not UTF-8, or a row loadtxt cannot parse
+            names = [name.strip() for name in next(csv.reader([fh.readline()]), [])]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
                 data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, quotechar='"')
         except ValueError as exc:  # drop loadtxt's data-row index (not a file line) and advice
             msg = re.sub(r" at row [0-9]+|; use `usecols`.*", "", str(exc))
             raise ValueError(f"{path}: {msg}") from None
-    if data.size and data.shape[1] != len(header):
-        raise ValueError(f"{path}: rows have {data.shape[1]} columns, header has {len(header)}")
-    data = data.reshape(-1, len(header))
-    X = data.take(x_idx, axis=1) if x_idx else None  # C-order for the fit's row gathers
-    Y = data.take(y_idx, axis=1) if y_idx else None
+    if data.size and data.shape[1] != len(names):
+        raise ValueError(f"{path}: rows have {data.shape[1]} columns, header has {len(names)}")
+    n_x = sum(name.startswith("x") for name in names)
+    for name, want in zip(names, _header(n_x, len(names) - n_x)):
+        if name != want:
+            raise ValueError(f"{path}: header has {name!r} where {want!r} goes")
+    data = data.reshape(len(data), len(names))  # loadtxt gives a header-only file 1 column
+    X, Y = (np.ascontiguousarray(A) if A.shape[1] else None for A in (data[:, :n_x], data[:, n_x:]))
+    for group, A in zip("xy", (X, Y)):
+        if group in need:
+            if A is None:
+                raise ValueError(f"{path}: no {group}* columns")
+            _finite_matrix(A, f"{path}: {group.upper()}")
     return X, Y
 
 
@@ -223,9 +226,22 @@ def write_json(path, obj):
     _atomic_write(path, json.dumps(jsonable(obj), indent=2) + "\n")
 
 
+def _unique_keys(pairs):
+    """The dict of one JSON object's ``pairs``; a ValueError names a key it repeats."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):  # name the first key seen twice
+        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise ValueError(f"key {key!r} repeats in one object")
+    return obj
+
+
 def read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+    """The JSON in ``path``; a ValueError names ``path`` if invalid, too deep or repeating a key."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+        except (ValueError, RecursionError) as exc:  # ValueError: JSONDecodeError, _unique_keys
+            raise ValueError(f"{path} is not valid JSON: {exc}") from None
 
 
 def save_model(path, model):

@@ -105,14 +105,14 @@ def correlation_ratio(layer_outputs):
 
     ``layer_outputs`` is (n_layers, m): between-layer variance of the
     layer means over total variance around the grand mean. Lies in
-    [0, 1]; NaN when the total variance is zero.
+    [0, 1]; NaN when the total variance is zero; 1.0 or NaN for m = 1.
     """
     A = np.asarray(layer_outputs, dtype=float)
     if A.ndim != 2:
         raise ValueError("layer_outputs must be a (n_layers, m) matrix")
     n_b, m = A.shape
-    if n_b < 1 or m < 2:
-        raise ValueError("need at least one layer and two examples")
+    if n_b < 1 or m < 1:
+        raise ValueError("need at least one layer and one example")
     grand = A.mean()
     layer_means = A.mean(axis=1)
     between = m * np.sum((layer_means - grand) ** 2)

@@ -813,6 +813,37 @@ REJECTED = [
     ("evaluate-topk-regression", {"p.csv": "y\n1\n2\n", "t.csv": "y\n1\n2\n"},
      EVALUATE_ARGS + ["--task", "regression", "--topk", "2"],
      r"^error: --topk applies to --task multilabel only$"),
+    # the header is x1..xn, then y or y1..yk: a name the reader would skip or misplace is refused
+    *[(f"csv-header-{case}", {**ONE_EPOCH, "in.csv": text}, TRAIN_ARGS,
+       rf"^error: \S*in\.csv: header has {re.escape(name)} where {re.escape(want)} goes$")
+      for case, text, name, want in (
+          ("unknown-name", "id,x1,x2,y\n7,1,2,2\n", "'id'", "'x1'"),
+          ("duplicate-name", "x1,x1,y\n1,2,2\n", "'x1'", "'x2'"),
+          ("out-of-order", "x2,x1,y\n1,2,2\n", "'x2'", "'x1'"),
+          ("interleaved", "y1,x1,x2,y2,x3\n1,2,3,4,5\n", "'y1'", "'x1'"),
+          ("one-output-as-y1", "x1,x2,y1\n1,2,2\n", "'y1'", "'y'"))],
+    ("csv-empty-file", {**ONE_EPOCH, "in.csv": ""}, TRAIN_ARGS,
+     r"^error: \S*in\.csv: no x\* columns$"),
+    # JSON that the parser cannot nest or whose object repeats a key, in a config and a model file
+    *[(f"{kind}-{case}", {**files, name: text(files[name])}, argv,
+       rf"^error: \S*{re.escape(name)} is not valid JSON: {message.format(first)}$")
+      for kind, name, first, files, argv in (
+          ("config", "cfg.json", "train", {**ONE_EPOCH, "in.csv": XY_CSV}, TRAIN_ARGS),
+          ("model", "model.json", "schema_version",
+           {"model.json": xy_model_json(), "in.csv": "x1,x2\n1,2\n"}, PREDICT_ARGS))
+      for case, text, message in (
+          ("nested-too-deep", lambda _: "[" * 100_000 + "]" * 100_000,
+           "maximum recursion depth exceeded.*"),
+          # the object's keys twice over: the first key is the first one repeated
+          ("repeated-key", lambda valid: valid[:-1] + ", " + valid[1:],
+           "key '{}' repeats in one object"))],
+    ("train-config-repeated-nested-key",
+     {"cfg.json": '{"train": {"epochs": 1, "epochs": 3}}', "in.csv": XY_CSV}, TRAIN_ARGS,
+     r"^error: \S*cfg\.json is not valid JSON: key 'epochs' repeats in one object$"),
+    # a term count that cannot index a list fails before any allocation
+    ("train-n_t-beyond-index", {"cfg.json": '{"train": {"n_t": 1%s}}' % ("0" * 30),
+                                "in.csv": XY_CSV}, TRAIN_ARGS,
+     r"^error: train: cannot fit 'int' into an index-sized integer$"),
 ]
 
 # run values are set in the run config only; no command takes these flags
@@ -836,6 +867,8 @@ ACCEPTED = [
     ("crlf", "x1,x2\r\n2,3\r\n1,1\r\n", [6.0, 1.0]),
     ("quoted-fields", '"x1","x2"\n"2.0","3"\n"1",1\n', [6.0, 1.0]),
     ("header-only", "x1,x2\n", []),
+    ("utf-8-bom", "\ufeffx1,x2\n2,3\n1,1\n", [6.0, 1.0]),
+    ("spaced-header-names", " x1 , x2\n2,3\n", [6.0]),
 ]
 
 
@@ -966,11 +999,19 @@ class TestDatasetCsv:
         assert (tmp_path / "d.csv").read_bytes() == csv_writer_reference(header, rows).encode()
 
     def test_read_returns_c_contiguous_arrays(self, tmp_path):
-        # the fit gathers batch rows with np.take, which is slow on a Fortran-order X
-        (tmp_path / "d.csv").write_text("y1,x1,x2,y2,x3\n1,2,3,4,5\n6,7,8,9,10\n")
+        # the fit gathers batch rows with np.take, which is slow on a Fortran-order X; the
+        # column slices of the parsed rows are not C-contiguous
+        (tmp_path / "d.csv").write_text("x1,x2,x3,y1,y2\n1,2,3,4,5\n6,7,8,9,10\n")
         X, Y = read_dataset_csv(tmp_path / "d.csv")
         assert X.flags.c_contiguous and Y.flags.c_contiguous
-        assert X.tolist() == [[2, 3, 5], [7, 8, 10]] and Y.tolist() == [[1, 4], [6, 9]]
+        assert X.tolist() == [[1, 2, 3], [6, 7, 8]] and Y.tolist() == [[4, 5], [9, 10]]
+
+    @pytest.mark.parametrize("data", [b"x\xff1,x2\n1,2\n", b"x1,x2\n1,\xff2\n"],
+                             ids=["header", "row"])
+    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path, data):
+        (tmp_path / "d.csv").write_bytes(data)
+        with pytest.raises(ValueError, match=r"^\S*d\.csv: 'utf-8' codec can't decode byte 0xff"):
+            read_dataset_csv(tmp_path / "d.csv")
 
     def test_prediction_bytes_match_csv_writer_reference(self, tmp_path):
         Y = np.random.default_rng(22).standard_normal((30, 2))

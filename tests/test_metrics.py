@@ -179,6 +179,14 @@ class TestCorrelationRatio:
     def test_zero_total_variance_is_nan(self):
         assert math.isnan(correlation_ratio(np.ones((3, 4))))
 
+    def test_one_example_is_its_layer_mean(self):
+        # all variance of one example per layer lies between the layer means
+        assert correlation_ratio(np.array([[1.0], [3.0], [-2.0]])) == 1.0
+        assert math.isnan(correlation_ratio(np.array([[2.0], [2.0]])))
+        assert math.isnan(correlation_ratio(np.array([[5.0]])))
+        with pytest.raises(ValueError, match="one layer and one example"):
+            correlation_ratio(np.empty((2, 0)))
+
 
 class TestCrossValidation:
     def test_plan_partitions_rows_evenly(self):

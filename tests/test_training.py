@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -540,6 +541,15 @@ class TestFitLayered:
         for a, b in zip(norms, norms[1:]):
             assert b <= a + 1e-8
         assert report.eta_squared is not None and len(report.eta_squared) == 3
+
+    def test_one_row_fits_as_a_joint_fit_does(self):
+        ds = Dataset(views=[np.array([[1.0, 2.0]])], Y=np.array([[2.0]]))
+        kw = dict(n_d=2, n_t=2, epochs=3, batch_size=10, seed=0)
+        joint, _ = fit(ds, TrainConfig(mode="joint", **kw))
+        model, report = fit(ds, TrainConfig(mode="layered", rank_blocks=[1, 1], **kw))
+        assert model.n_t == joint.n_t == 2
+        assert len(report.eta_squared) == 2
+        assert all(eta == 1.0 or math.isnan(eta) for eta in report.eta_squared)
 
     def test_block_validation(self):
         with pytest.raises(ValueError):
