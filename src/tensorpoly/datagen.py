@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, LtrModel, forward_terms, integral, one_of, real
+from .model import Dataset, LtrModel, integral, one_of, raw_rows, real
 
 
 @dataclass
@@ -31,7 +31,7 @@ class GeneratorSpec:
 def generate_model(spec):
     """Random homogeneous model: factor entries and scales i.i.d. N(0,1)."""
     rng = np.random.default_rng(spec.seed)
-    P = [rng.standard_normal((spec.n_t, spec.n)) for _ in range(spec.n_d)]
+    P = list(rng.standard_normal((spec.n_d, spec.n_t, spec.n)))  # a huge n_d fails at once
     lam = rng.standard_normal(spec.n_t)
     return LtrModel(P=P, Q=np.ones((spec.n_t, 1)), lam=lam)
 
@@ -49,7 +49,7 @@ def sample_dataset(model, m, noise_level=0.0, seed=0):
     real("noise_level", noise_level, 0)
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((m, model.n))
-    _, _, y = forward_terms(model.P, model.lam, model.Q, [X])
+    y = raw_rows(model.P, model.lam, model.Q, [X])
     if noise_level > 0:
         sigma = noise_level * float(np.std(y))
         y = y + rng.standard_normal(y.shape) * sigma

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+ROW_BLOCK = 4096  # rows per block of a full-data forward pass, so its working memory is fixed
+
 
 def _finite_matrix(X, name, ndim=2, column=False):
     """``X`` as a C-order float array; a ValueError naming ``name`` unless it holds finite
@@ -272,6 +274,20 @@ def forward_terms(P, lam, Q, views, out=None):
     return Z, F, np.dot(np.multiply(F, lam, out=F_lam), Q, out=raw)
 
 
+def raw_rows(P, lam, Q, views, raw=None, buffers=None):
+    """``raw`` (m, n_y) of `forward_terms` on resolved views, run on C-order blocks of
+    `ROW_BLOCK` rows into their rows of ``raw`` (new by default); the last takes the rest, up
+    to 2 ROW_BLOCK - 1 rows, as a short one (1 row is a GEMV) may round unlike one whole pass.
+    ``buffers(b)`` gives ``forward_terms``' ``(Zt, F, F_lam)`` for b rows (new by default)."""
+    m = views[0].shape[0]
+    raw = np.empty((m, Q.shape[1])) if raw is None else raw
+    ends = [*range(ROW_BLOCK, m - ROW_BLOCK + 1, ROW_BLOCK), m]
+    for s, e in zip([0] + ends, ends):
+        out = (None,) * 3 if buffers is None else buffers(e - s)
+        forward_terms(P, lam, Q, [V[s:e] for V in views], (*out, raw[s:e]))
+    return raw
+
+
 def sigmoid(u):
     """Numerically stable logistic function: ``1 / (1 + e^-u)`` for u >= 0 and
     ``e^u / (1 + e^u)`` otherwise, so ``exp`` only sees ``-|u|`` and cannot overflow."""
@@ -290,9 +306,8 @@ LINKS = {
 def predict(model, views):
     """Predictions of ``model`` on a matrix or a list of views: (m, n_y), m may be 0.
 
-    The one model-level forward pass, on views checked as a `Dataset`'s are. A homogenized
-    model takes raw views and adds their ones column; logistic models return probabilities.
+    The one model-level forward pass, by row blocks, on views checked as a `Dataset`'s are. A
+    homogenized model takes raw views and adds their ones column; a logistic one gives P(y=1).
     """
     views = resolve_views(checked_views(views), model.n_d, model.dims, model.homogenized)
-    _, _, raw = forward_terms(model.P, model.lam, model.Q, views)
-    return LINKS[model.link][0](raw)
+    return LINKS[model.link][0](raw_rows(model.P, model.lam, model.Q, views))

@@ -27,12 +27,14 @@ import numpy as np
 from .metrics import _check_binary, correlation_ratio
 from .model import (
     LINKS,
+    ROW_BLOCK,
     LtrModel,
     factor_views,
     forward_terms,
     hadamard_partials,
     integral,
     one_of,
+    raw_rows,
     real,
     resolve_views,
 )
@@ -137,11 +139,12 @@ class FitReport:
     seconds: list = field(default_factory=list)
 
 
-def _raw_loss(P, lam, Q, views, Y, offset, C_p, C_q, link):
-    """``(loss, raw)``: the regularized objective at ``offset + raw``, and ``raw``."""
+def _raw_loss(P, lam, Q, views, Y, offset, C_p, C_q, link, raw=None, work=None):
+    """``(loss, raw)``: the regularized objective at ``offset + raw``, and ``raw``, written
+    by `raw_rows` into ``raw`` (new by default) from the forward arrays of ``work``."""
     m, n_y = Y.shape
     n_t, n_d = lam.shape[0], len(P)
-    _, _, raw = forward_terms(P, lam, Q, views)
+    raw = raw_rows(P, lam, Q, views, raw, None if work is None else lambda b: work.rows(b)[0][:3])
     data = LINKS[link][1](Y, offset + raw) / (m * n_y)
     reg_p = 0.0
     for Pd in P:
@@ -166,7 +169,7 @@ def _param_views(n_t, n_y, n_d, views, flat=None):
 class _Workspace:
     """The arrays of `_raw_gradients` on up to ``rows`` rows, allocated once: the flat
     gradient ``g`` in `_param_views`' layout, scratch for the penalties, and ``memory``,
-    whose front `rows` carves into a batch's arrays as numpy lays out new ones."""
+    whose front `rows` carves into a batch's or a loss block's arrays as numpy lays out new ones."""
 
     def __init__(self, n_t, n_y, n_d, views, rows):
         self.g, self.g_lam, self.g_P, self.g_Q = _param_views(n_t, n_y, n_d, views)
@@ -293,7 +296,8 @@ def _fit_block(views, Y, offset, n_t, config, rng, phase):
     Q[...] = rng.standard_normal((n_t, n_y)) / np.sqrt(n_y) if train_q else 1.0
     state, trace = AdamState.zeros(lam, P, Q), []
     B = min(config.batch_size, m)
-    work = _Workspace(n_t, n_y, n_d, views, B)
+    work = _Workspace(n_t, n_y, n_d, views, max(B, min(m, 2 * ROW_BLOCK - 1)))  # and loss blocks
+    raws, spare = [np.empty((m, n_y)), np.empty((m, n_y))], 0  # best epoch's raw, the next one's
     sources = (*views, Y, offset)
     gathered = [np.empty((B, A.shape[1])) for A in sources]
     # ADAM steps Q only when it is trained; its gradient slot is written only then
@@ -309,11 +313,12 @@ def _fit_block(views, Y, offset, n_t, config, rng, phase):
             _raw_gradients(P, lam, Q, bviews, bY, boffset, config.C_p, config.C_q, config.link,
                            train_q, work)
             adam_step(state, *leaves, config.learning_rate)
-        L, raw = _raw_loss(P, lam, Q, views, Y, offset, config.C_p, config.C_q, config.link)
+        L, raw = _raw_loss(P, lam, Q, views, Y, offset, config.C_p, config.C_q, config.link,
+                           raws[spare], work)
         if not np.isfinite(L):
             raise TrainingDivergedError(epoch, phase)
         if not trace or L < min(trace):
-            best = theta.copy(), raw, epoch
+            best, spare = (theta.copy(), raw, epoch), 1 - spare
         trace.append(L)
     return *_param_views(n_t, n_y, n_d, views, best[0])[1:], *best[1:], trace
 

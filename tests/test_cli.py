@@ -683,6 +683,9 @@ REJECTED = [
     ("predict-homogenized-with-ones-column",
      {"model.json": HOMOGENIZED_XY_MODEL, "in.csv": "x1,x2,x3\n2,3,1\n"}, PREDICT_ARGS,
      r"^error: prediction input mismatch: view 0 has 3 columns, factor expects 2$"),
+    # the factors are one draw, so a degree too large to index fails before any allocation
+    ("generate-degree-huge", {"cfg.json": json.dumps({"generator": {"degree": 10**30}})},
+     GENERATE_ARGS, r"^error: Maximum allowed dimension exceeded$"),
     ("generate-noise-list", {"cfg.json": '{"generator": {"noise": [1]}}'}, GENERATE_ARGS,
      r"^error: noise must be a finite number, got \[1\]$"),
     ("generate-noise-negative", {"cfg.json": '{"generator": {"noise": -1}}'}, GENERATE_ARGS,

@@ -11,6 +11,7 @@ from tensorpoly import (
     sample_dataset,
     quadratics_dataset,
 )
+from tensorpoly.model import forward_terms
 
 from helpers import predict_point
 
@@ -22,6 +23,15 @@ class TestGenerateModel:
         b = generate_model(spec)
         assert all(np.array_equal(x, y) for x, y in zip(a.P, b.P))
         assert np.array_equal(a.lam, b.lam)
+
+    def test_one_draw_gives_the_per_degree_draws(self):
+        # the factors are one (n_d, n_t, n) draw, the numbers of one (n_t, n) draw per degree
+        spec = GeneratorSpec(n=4, n_d=3, n_t=2, m=10, seed=5)
+        rng = np.random.default_rng(spec.seed)
+        P = [rng.standard_normal((spec.n_t, spec.n)) for _ in range(spec.n_d)]
+        model = generate_model(spec)
+        assert all(np.array_equal(a, b) for a, b in zip(model.P, P))
+        assert np.array_equal(model.lam, rng.standard_normal(spec.n_t))
 
     def test_entries_are_standard_normal(self):
         # pool 10^5 factor entries; mean and std within 3 sigma of (0, 1)
@@ -50,6 +60,13 @@ class TestSampleDataset:
         ds = sample_dataset(model, 50, 0.0, seed=8)
         expected = predict(model, [ds.X])
         assert np.array_equal(ds.Y, expected)
+
+    def test_outputs_span_row_blocks_exactly(self):
+        # 9,000 rows are two blocks of the full-data forward pass
+        model = generate_model(GeneratorSpec(n=3, n_d=2, n_t=2, m=10, seed=7))
+        ds = sample_dataset(model, 9_000, 0.0, seed=8)
+        _, _, raw = forward_terms(model.P, model.lam, model.Q, [ds.X])
+        assert np.array_equal(ds.Y, raw)
 
     def test_noise_level_definition(self):
         spec = GeneratorSpec(n=3, n_d=2, n_t=2, m=10, seed=9)

@@ -19,10 +19,14 @@ from tensorpoly import (
 from tensorpoly.baselines import linreg_predict
 from tensorpoly.io import generator_spec
 from tensorpoly.metrics import rmse
+import tensorpoly.model as tmodel
 from tensorpoly.model import (
+    ROW_BLOCK,
     checked_views,
+    factor_views,
     forward_terms,
     hadamard_partials,
+    raw_rows,
     resolve_views,
     sigmoid,
     take_rows,
@@ -293,6 +297,44 @@ class TestKernels:
         views = resolve_views(checked_views([X]), model.n_d, model.dims)
         assert len(views) == 1 and views[0].dtype == float
         assert np.array_equal(predict(model, X), predict(model, X.astype(float)))
+
+
+class TestRowBlocks:
+    # (widths of the views, n_d, n_y, homogenized)
+    CASES = {
+        "one-view": ([10], 3, 1, False),
+        "n_d-views": ([4, 3, 2], 3, 1, False),
+        "homogenized": ([3], 2, 1, True),
+        "n_y=3": ([4], 2, 3, False),
+    }
+
+    # up to 2 ROW_BLOCK - 1 rows are one block; 8193 and 12289 leave one row over a multiple
+    @pytest.mark.parametrize("m", [1, 4095, 4096, 8193, 8209, 12289])
+    @pytest.mark.parametrize("case", CASES, ids=list(CASES))
+    def test_raw_is_bitwise_one_whole_pass(self, case, m):
+        widths, n_d, n_y, homogenized = self.CASES[case]
+        rng = np.random.default_rng(m)
+        views = resolve_views([rng.standard_normal((m, w)) for w in widths], n_d,
+                              homogenized=homogenized)
+        P = [rng.standard_normal((3, V.shape[1])) for V in factor_views(views, n_d)]
+        lam, Q = rng.standard_normal(3), rng.standard_normal((3, n_y))
+        _, _, whole = forward_terms(P, lam, Q, views)
+        assert np.array_equal(raw_rows(P, lam, Q, views), whole)
+
+    @pytest.mark.parametrize("m,blocks", [(0, [0]), (8191, [8191]), (12289, [4096, 4096, 4097])])
+    def test_blocks_are_c_order_row_slices_of_one_output(self, monkeypatch, m, blocks):
+        seen, exact = [], tmodel.forward_terms
+
+        def spy(P, lam, Q, views, out=None):
+            seen.append((views[0].shape[0], all(V.flags.c_contiguous for V in views), out[3]))
+            return exact(P, lam, Q, views, out)
+
+        monkeypatch.setattr(tmodel, "forward_terms", spy)
+        rng = np.random.default_rng(4)
+        model = random_model(rng, n=3, n_d=2, n_t=2, n_y=2)
+        raw = raw_rows(model.P, model.lam, model.Q, [rng.standard_normal((m, 3))])
+        assert ROW_BLOCK == 4096 and [rows for rows, _, _ in seen] == blocks
+        assert all(c_order and out.base is raw for _, c_order, out in seen)
 
 
 class TestDenseTensorOracle:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +28,7 @@ from tensorpoly.training import (
 )
 from tensorpoly.gradcheck import TOLERANCE, _worst_entry, numeric_gradients, run_suite
 from tensorpoly.metrics import accuracy
-from tensorpoly.model import factor_views, resolve_views, take_rows
+from tensorpoly.model import ROW_BLOCK, factor_views, resolve_views, take_rows
 
 from helpers import finite_checks, loop_forward, random_model
 
@@ -113,6 +114,46 @@ class TestLoss:
         assert all(np.array_equal(a, b) for a, b in zip(g_raw[1], g_ones[1]))
         with pytest.raises(ValueError, match="view 0 has 4 columns, factor expects 3"):
             loss(homogenized, ones, cfg)
+
+
+    @pytest.mark.parametrize("link", ["identity", "logistic"])
+    def test_workspace_blocks_give_the_loss_of_new_arrays(self, link):
+        # a fit's epoch loss carves each row block's forward arrays from its batch workspace
+        rng = np.random.default_rng(16)
+        m = 9_000  # two blocks
+        views = [rng.standard_normal((m, width)) for width in (4, 3)]
+        Y = rng.standard_normal((m, 2))
+        Y = (Y > 0).astype(float) if link == "logistic" else Y
+        offset = 0.1 * rng.standard_normal((m, 2))
+        P = [rng.standard_normal((3, V.shape[1])) for V in views]
+        lam, Q = rng.standard_normal(3), rng.standard_normal((3, 2))
+        args = P, lam, Q, views, Y, offset, 0.1, 0.2, link
+        work = training._Workspace(3, 2, 2, views, 2 * ROW_BLOCK - 1)
+        L, raw = training._raw_loss(*args, np.empty((m, 2)), work)
+        want_L, want_raw = training._raw_loss(*args)
+        assert L == want_L and np.array_equal(raw, want_raw)
+
+
+class TestRowBlockedMemory:
+    # predict keeps its (m, n_y) output; loss keeps its raw and the data loss's two whole
+    # temporaries, offset + raw and Y - (offset + raw)
+    @pytest.mark.parametrize("call,whole", [("predict", 1), ("loss", 3)])
+    def test_peak_does_not_grow_with_rows(self, call, whole):
+        # traced inside the call only, so the inputs are not counted
+        model = random_model(np.random.default_rng(3), n=10, n_d=3, n_t=3)
+        cfg = TrainConfig(n_d=3, n_t=3)
+        peaks = []
+        for m in (20_000, 200_000):
+            rng = np.random.default_rng(m)
+            ds = Dataset(views=[rng.standard_normal((m, 10))], Y=rng.standard_normal((m, 1)))
+            run = {"predict": lambda: predict(model, ds.X), "loss": lambda: loss(model, ds, cfg)}
+            tracemalloc.start()
+            try:
+                run[call]()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - whole * 200_000 * 8 <= 1.5 * peaks[0], peaks
 
 
 class TestTrustedDataset:
