@@ -306,8 +306,8 @@ LINKS = {
 def predict(model, views):
     """Predictions of ``model`` on a matrix or a list of views: (m, n_y), m may be 0.
 
-    The one model-level forward pass, by row blocks, on views checked as a `Dataset`'s are. A
-    homogenized model takes raw views and adds their ones column; a logistic one gives P(y=1).
+    The one model-level forward pass, on views checked as a `Dataset`'s are. A homogenized
+    model takes raw views and adds their ones column; logistic models return probabilities.
     """
     views = resolve_views(checked_views(views), model.n_d, model.dims, model.homogenized)
     return LINKS[model.link][0](raw_rows(model.P, model.lam, model.Q, views))

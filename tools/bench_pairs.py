@@ -76,8 +76,7 @@ def main(argv=None):
         parser.error("--seeds must be at least 2")
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    sides = {side: {"checkout": str(path), "commit": None, "runs": []}
-             for side, path in checkouts.items()}
+    sides = {side: {"commit": None, "runs": []} for side in SIDES}
     seeds = list(range(1, args.seeds + 1))
     for seed in seeds:
         for side in SIDES if seed % 2 else SIDES[::-1]:
