@@ -136,26 +136,30 @@ def anova_terms(X, P, n_d):
     A_d[i, t] is the elementary symmetric polynomial of degree d of the
     componentwise products x_i * p_t, built from power sums by the
     Newton-identity recursion A_d = (1/d) * sum_r (-1)^(r+1) A_{d-r} * D^(r)
-    with A_0 all-ones.
+    with A_0 all-ones, summed in order of r.
     """
     n_d = integral("n_d", n_d, 1)
     X = np.asarray(X, dtype=float)
     P = np.asarray(P, dtype=float)
     if X.shape[1] != P.shape[1]:
         raise ValueError(f"column mismatch: X has {X.shape[1]}, P has {P.shape[1]}")
-    m, n_t = X.shape[0], P.shape[0]
-    Xr, Pr = X, P  # the running powers X^r and P^r
-    power_sums = [None, X @ P.T]  # D^(r), 1-based
+    # the GEMMs run faster on a C-order Pt, with the same bits; a one-row X @ Pt is a GEMV
+    # that rounds unlike X @ P.T
+    Pt = np.ascontiguousarray(P.T) if X.shape[0] > 1 else P.T
+    Xr, Ptr = X, Pt  # the running powers X^r and Pt^r
+    D = [None, X @ Pt]  # the power sums D^(r), 1-based
     for _ in range(2, n_d + 1):
-        Xr, Pr = Xr * X, Pr * P
-        power_sums.append(Xr @ Pr.T)
-    A = [np.ones((m, n_t))]
-    for d in range(1, n_d + 1):
-        acc = np.zeros((m, n_t))
-        for r in range(1, d + 1):
-            sign = 1.0 if (r + 1) % 2 == 0 else -1.0
-            acc += sign * A[d - r] * power_sums[r]
-        A.append(acc / d)
+        Xr, Ptr = Xr * X, Ptr * Pt
+        D.append(Xr @ Ptr)
+    # A_1 = D^(1): a zero start, the factors A_0 = 1 and the signs +-1 are exact, so left out
+    A = [None, D[1]]
+    for d in range(2, n_d + 1):
+        acc = A[d - 1] * D[1]
+        for r in range(2, d + 1):
+            term = D[r] if r == d else A[d - r] * D[r]
+            (np.add if r % 2 else np.subtract)(acc, term, out=acc)
+        acc /= d
+        A.append(acc)
     return A[1:]
 
 
@@ -163,10 +167,15 @@ def fm_forward(X, P, n_d):
     """Factorization-machine forward value: all interaction orders 1..n_d
     summed over the n_t components."""
     terms = anova_terms(X, P, n_d)
-    total = terms[0].copy()
-    for A_d in terms[1:]:
+    total = terms[0] if n_d == 1 else terms[0] + terms[1]
+    for A_d in terms[2:]:
         total += A_d
-    return total.sum(axis=1)
+    if total.shape[1] >= 8:  # numpy sums a row of 8 or more pairwise
+        return total.sum(axis=1)
+    out = total[:, 0].copy()  # and a shorter one in order, which column adds repeat
+    for t in range(1, total.shape[1]):
+        out += total[:, t]
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -25,7 +25,7 @@ ROW_BLOCK = 4096  # rows per block of a full-data forward pass, so its working m
 def _finite_matrix(X, name, ndim=2, column=False):
     """``X`` as a C-order float array; a ValueError naming ``name`` unless it holds finite
     numbers in ``ndim`` dimensions, a 1-d ``X`` read as one column with ``column``.
-    C-order float input is returned as is."""
+    C-order float input is returned as is, and checked `ROW_BLOCK` rows at a time."""
     try:
         A = np.asarray(X, dtype=float, order="C")
     except (TypeError, ValueError) as exc:  # an object, a string or a ragged list
@@ -33,7 +33,7 @@ def _finite_matrix(X, name, ndim=2, column=False):
     A = A.reshape(-1, 1) if column and A.ndim == 1 else A
     if A.ndim != ndim:
         raise ValueError(f"{name} must be a {ndim}-d array, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not all(np.isfinite(A[s:s + ROW_BLOCK]).all() for s in range(0, len(A), ROW_BLOCK)):
         raise ValueError(f"{name} contains non-finite values")
     return A
 

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import tensorpoly.baselines as baselines
 from tensorpoly import Dataset, generate_model, pearson, quadratics_dataset, sample_dataset
 from tensorpoly.baselines import (
     KRR_SIZE_CAP,
@@ -275,7 +276,49 @@ def brute_force_degree(x, p, d):
     return total
 
 
+def loop_anova_terms(X, P, n_d):
+    """The Newton-identity loop that `anova_terms` reorganised: GEMMs against ``P.T``, an
+    all-ones A_0, a zeros accumulator and ``sign * A[d - r] * D[r]`` summands."""
+    Xr, Pr = X, P
+    D = [None, X @ P.T]
+    for _ in range(2, n_d + 1):
+        Xr, Pr = Xr * X, Pr * P
+        D.append(Xr @ Pr.T)
+    A = [np.ones((X.shape[0], P.shape[0]))]
+    for d in range(1, n_d + 1):
+        acc = np.zeros((X.shape[0], P.shape[0]))
+        for r in range(1, d + 1):
+            sign = 1.0 if (r + 1) % 2 == 0 else -1.0
+            acc += sign * A[d - r] * D[r]
+        A.append(acc / d)
+    return A[1:]
+
+
+def loop_fm_forward(X, P, n_d):
+    """`fm_forward` as the sum of `loop_anova_terms` and numpy's row sum."""
+    terms = loop_anova_terms(X, P, n_d)
+    total = terms[0].copy()
+    for A_d in terms[1:]:
+        total += A_d
+    return total.sum(axis=1)
+
+
 class TestFmForward:
+    # n_t = 8 and 11 reach numpy's pairwise row sum; m = 1 is a GEMV, m = 2000 the sweep's
+    @pytest.mark.parametrize("n_t", [1, 3, 7, 8, 11])
+    def test_bitwise_the_newton_loop(self, n_t):
+        rng = np.random.default_rng(n_t)
+        for m in (1, 2, 2000, 2500):
+            for scale in (1e-3, 1.0, 1e3):
+                X = rng.standard_normal((m, 6)) * scale
+                P = rng.standard_normal((n_t, 6)) / scale
+                for n_d in (1, 2, 3, 4, 5):
+                    for A, ref in zip(anova_terms(X, P, n_d), loop_anova_terms(X, P, n_d),
+                                      strict=True):
+                        assert A.tobytes() == ref.tobytes(), (m, scale, n_d)
+                    out, ref = fm_forward(X, P, n_d), loop_fm_forward(X, P, n_d)
+                    assert out.shape == (m,) and out.tobytes() == ref.tobytes(), (m, scale, n_d)
+
     def test_degree2_term_is_elementary_symmetric(self):
         # e2 for p=(1,1), x=(2,3) via Newton's identity (s1^2 - s2)/2 = 6
         X = np.array([[2.0, 3.0]])
@@ -336,6 +379,17 @@ class TestFmGradientDescent:
             results[fn] = pearson(ds.Y[200:, 0], fm_forward(ds.X[200:], P, 2))
         assert results["xy"] >= 0.95
         assert abs(results["diff_sq"]) <= 0.3
+
+    def test_forward_calls_per_fit(self, monkeypatch):
+        # the count perfbench checks: a central difference per entry of P per step, and one
+        # forward for each restart's MSE
+        calls, forward = [], baselines.fm_forward
+        monkeypatch.setattr(baselines, "fm_forward", lambda *a: calls.append(a) or forward(*a))
+        rng = np.random.default_rng(9)
+        m, n, n_t, steps, restarts = 30, 4, 3, 5, 2
+        fm_fit_gd(rng.standard_normal((m, n)), rng.standard_normal(m), n_d=2, n_t=n_t,
+                  steps=steps, restarts=restarts)
+        assert len(calls) == restarts * (steps * 2 * n_t * n + 1)
 
     def test_divergence_raises_without_numpy_warnings(self):
         # fold 0 of the degree-3 point of a seed-16838 degree sweep (n=6, rank 3, m=4000):

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -511,6 +512,19 @@ class TestLayout:
         # fit resolves the dataset's views for its factors: the converted view is not copied
         again = resolve_views(views, 3)
         assert len(again) == 1 and again[0] is views[0]
+
+    def test_finite_check_holds_two_blocks_of_booleans(self):
+        X = np.ones((200_000, 10))
+        tracemalloc.start()
+        try:
+            views = checked_views([X])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert views[0] is X and peak < 2 * ROW_BLOCK * X.shape[1]  # one (m, n) array: 2 MB
+        X[-1, -1] = np.nan
+        with pytest.raises(ValueError, match=r"^views\[0\] contains non-finite values$"):
+            checked_views([X])
 
     def test_shared_view_is_finite_checked_once(self, monkeypatch):
         calls = []
