@@ -143,9 +143,7 @@ def anova_terms(X, P, n_d):
     P = np.asarray(P, dtype=float)
     if X.shape[1] != P.shape[1]:
         raise ValueError(f"column mismatch: X has {X.shape[1]}, P has {P.shape[1]}")
-    # the GEMMs run faster on a C-order Pt, with the same bits; a one-row X @ Pt is a GEMV
-    # that rounds unlike X @ P.T
-    Pt = np.ascontiguousarray(P.T) if X.shape[0] > 1 else P.T
+    Pt = np.ascontiguousarray(P.T)  # the GEMMs run faster on a C-order Pt
     Xr, Ptr = X, Pt  # the running powers X^r and Pt^r
     D = [None, X @ Pt]  # the power sums D^(r), 1-based
     for _ in range(2, n_d + 1):
@@ -170,9 +168,7 @@ def fm_forward(X, P, n_d):
     total = terms[0] if n_d == 1 else terms[0] + terms[1]
     for A_d in terms[2:]:
         total += A_d
-    if total.shape[1] >= 8:  # numpy sums a row of 8 or more pairwise
-        return total.sum(axis=1)
-    out = total[:, 0].copy()  # and a shorter one in order, which column adds repeat
+    out = total[:, 0].copy()  # column adds in order: numpy's row sum goes one row at a time
     for t in range(1, total.shape[1]):
         out += total[:, t]
     return out
