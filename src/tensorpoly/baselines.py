@@ -143,6 +143,8 @@ def anova_terms(X, P, n_d):
     P = np.asarray(P, dtype=float)
     if X.shape[1] != P.shape[1]:
         raise ValueError(f"column mismatch: X has {X.shape[1]}, P has {P.shape[1]}")
+    if not P.shape[0]:
+        raise ValueError("P must have at least one row, got none")
     Pt = np.ascontiguousarray(P.T)  # the GEMMs run faster on a C-order Pt
     Xr, Ptr = X, Pt  # the running powers X^r and Pt^r
     D = [None, X @ Pt]  # the power sums D^(r), 1-based
@@ -183,6 +185,9 @@ def fm_fit_gd(X, y, n_d, n_t, steps=300, restarts=3):
     ``default_rng(r)``, and the best restart by training MSE is returned.
     A diverging restart overflows silently and is skipped by the MSE check.
     """
+    n_t = integral("n_t", n_t, 1)
+    steps = integral("steps", steps, 1)
+    restarts = integral("restarts", restarts, 1)
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
     m = X.shape[0]

@@ -8,9 +8,6 @@ columns exactly (timing columns are wall-clock and exempt).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from . import baselines
@@ -27,6 +24,8 @@ SWEEP_KEYS = {"degree": "degree", "rank": "rank", "noise": "noise", "variables":
 LEARNERS = ("ltr", "lr", "krr", "fm")
 DEFAULT_LEARNERS = ("ltr", "lr")
 
+# Nothing in src/ reads this variable (grid points run in order on the calling
+# thread); the name stays because perfbench still sets and pops it.
 THREADS_ENV = "TENSORPOLY_THREADS"
 
 
@@ -130,9 +129,6 @@ def run_benchmark(cfg):
                          f"{LEARNERS}, got {learners!r}")
     seed = integral("benchmark base.seed", cfg["base"].get("seed", 0), 0)
     folds = integral("benchmark folds", cfg.get("folds", 2), 2)
-    threads = os.environ.get(THREADS_ENV, "1")
-    if not threads.isdigit() or int(threads) < 1:
-        raise ValueError(f"{THREADS_ENV} must be an integer >= 1, got {threads!r}")
     for key, value in cfg.get("fm", {}).items():  # steps and restarts: counts, none truncated
         integral(f"benchmark fm.{key}", value, 1)
     points = []  # every point's data spec and learners, built before the first fit
@@ -147,9 +143,7 @@ def run_benchmark(cfg):
         except (TypeError, ValueError) as exc:
             raise ValueError(f"benchmark config at {variable}={value!r}: {exc}") from exc
         points.append((value, spec, data_seed, fold_seed, built))
-    with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-        per_point = list(pool.map(lambda point: _run_point(point, variable, folds), points))
-    rows = [row for point in per_point for row in point]
+    rows = [row for point in points for row in _run_point(point, variable, folds)]
 
     series = {}
     for name, _, value, metric, mean, _, status in rows:

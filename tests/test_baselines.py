@@ -376,6 +376,10 @@ class TestFmForward:
         with pytest.raises(ValueError):
             fm_forward(np.zeros((2, 3)), np.zeros((1, 4)), 2)
 
+    def test_rowless_P_is_refused(self):
+        with pytest.raises(ValueError, match="^P must have at least one row, got none$"):
+            anova_terms(np.zeros((2, 3)), np.zeros((0, 3)), 2)
+
 
 class TestFmGradientDescent:
     def test_learns_symmetric_but_not_antisymmetric(self):
@@ -398,6 +402,13 @@ class TestFmGradientDescent:
         fm_fit_gd(rng.standard_normal((m, n)), rng.standard_normal(m), n_d=2, n_t=n_t,
                   steps=steps, restarts=restarts)
         assert len(calls) == restarts * (steps * 2 * n_t * n + 1)
+
+    @pytest.mark.parametrize("name", ["n_t", "steps", "restarts"])
+    def test_counts_must_be_positive_integers(self, name):
+        # restarts=0 would run no restart and leave nothing to return
+        counts = {"n_t": 2, "steps": 1, "restarts": 1} | {name: 0}
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got 0$"):
+            fm_fit_gd(np.zeros((4, 3)), np.zeros(4), n_d=2, **counts)
 
     def test_divergence_raises_without_numpy_warnings(self):
         # fold 0 of the degree-3 point of a seed-16838 degree sweep (n=6, rank 3, m=4000):

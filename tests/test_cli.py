@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -408,18 +409,38 @@ class TestBenchmark:
         assert _point_params(base, "variables", 9)["n"] == 9
         assert _point_params(base, "sample-size", 777)["m"] == 777
 
-    def test_worker_threads_keep_accuracy_identical(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path / "cfg.json", self.bench_config())
-        assert main(["benchmark", "--config", cfg, "--out", str(tmp_path / "serial")]) == 0
-        monkeypatch.setenv("TENSORPOLY_THREADS", "3")
-        assert main(["benchmark", "--config", cfg, "--out", str(tmp_path / "pooled")]) == 0
+    def test_learners_run_on_the_calling_thread(self, tmp_path, monkeypatch):
+        # every learner fits on the thread that called the sweep, and two runs
+        # give identical accuracy rows
+        threads = []
+        build = benchmark._build_learner
+
+        def spy_build(name, params, cfg):
+            learn = build(name, params, cfg)
+
+            def spy(train):
+                threads.append((name, threading.get_ident()))
+                return learn(train)
+
+            return spy
+
+        monkeypatch.setattr(benchmark, "_build_learner", spy_build)
+        cfg = write_config(tmp_path / "cfg.json", self.bench_config() | {
+            "learners": list(benchmark.LEARNERS), "fm": {"steps": 5, "restarts": 1}})
+        assert main(["benchmark", "--config", cfg, "--out", str(tmp_path / "first")]) == 0
+        assert main(["benchmark", "--config", cfg, "--out", str(tmp_path / "second")]) == 0
+        # 2 runs x 2 points x 2 folds per learner
+        assert sorted({name for name, _ in threads}) == sorted(benchmark.LEARNERS)
+        assert len(threads) == 2 * 2 * 2 * len(benchmark.LEARNERS)
+        assert {ident for _, ident in threads} == {threading.get_ident()}
 
         def accuracy_rows(path):
             with open(path) as fh:
                 return [r for r in csv.reader(fh) if r[3] != "train_seconds"]
 
-        assert accuracy_rows(tmp_path / "serial" / "results.csv") == \
-            accuracy_rows(tmp_path / "pooled" / "results.csv")
+        first = accuracy_rows(tmp_path / "first" / "results.csv")
+        assert all(r[6] == "ok" for r in first[1:])
+        assert first == accuracy_rows(tmp_path / "second" / "results.csv")
 
     def test_degree_sweep_separates_learners(self, tmp_path):
         # linear regression degrades on higher degrees, the tensor model holds
@@ -458,16 +479,6 @@ class TestBenchmark:
         with pytest.raises(ValueError, match=message):
             benchmark.run_benchmark(cfg)
         assert calls == []
-
-    @pytest.mark.parametrize("threads", ["0", "-3", "abc"])
-    def test_bad_thread_count_exits_2_naming_the_variable(self, tmp_path, capsys, monkeypatch,
-                                                          threads):
-        monkeypatch.setenv("TENSORPOLY_THREADS", threads)
-        cfg = write_config(tmp_path / "cfg.json", self.bench_config())
-        assert main(["benchmark", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == \
-            f"error: TENSORPOLY_THREADS must be an integer >= 1, got {threads!r}\n"
-        assert not (tmp_path / "out").exists()
 
     def test_failed_point_recorded_in_row(self, tmp_path):
         cfg_dict = self.bench_config()

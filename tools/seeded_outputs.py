@@ -10,8 +10,7 @@ of two runs names every output that moved. The outputs are:
   each `FitReport` field and the predictions on held-out rows;
 - the CLI pipeline ``generate -> train -> predict -> evaluate``: every
   file it writes;
-- a four-learner sweep over degrees 1-3 on 2 worker threads: the rows and
-  the plot data;
+- a four-learner sweep over degrees 1-3: the rows and the plot data;
 - a KRR fit with more polynomial features than rows, so that it takes the
   dual path, which no sweep point takes: the predictions on held-out rows.
 
@@ -120,7 +119,6 @@ def cli_outputs():
 
 
 def sweep_outputs():
-    os.environ["TENSORPOLY_THREADS"] = "2"
     rows, plot = run_benchmark({
         "sweep": {"variable": "degree", "values": [1, 2, 3]},
         "base": {"n": 3, "degree": 2, "rank": 2, "m": 60, "noise": 0.1, "seed": 4},
